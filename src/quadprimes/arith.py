@@ -102,7 +102,7 @@ def is_prime_power(n: int):
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Brent's cycle variant, fixed seeds)."""
+    """One nontrivial factor of composite n (Floyd's cycle finding, fixed seeds)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -188,9 +188,6 @@ class FactorSieve:
     def smallest_prime_factor(self, n: int) -> int:
         return int(self.spf[n])
 
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.spf[n] == n
-
     def factor(self, n: int) -> Factorization:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
@@ -236,10 +233,6 @@ class FactorSieve:
         while m % p == 0:
             m //= p
         return math.log(p) if m == 1 else 0.0
-
-    def primes(self) -> np.ndarray:
-        idx = np.arange(2, self.limit + 1)
-        return idx[self.spf[2:] == idx]
 
 
 def _parts_of(n: int, sieve: FactorSieve | None) -> tuple:

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from . import arith, congruence, lcmpsi, nagell, primes, stats, sums
+from . import congruence, lcmpsi, nagell, primes, stats, sums
 from .report import _num
 from .verify import SuiteParams, run_suite
 
@@ -52,8 +52,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    sieve = arith.shared_sieve(max(int(args.x) + args.d, 100))
-    dec = sums.dyadic_split(args.x, args.d, args.epsilon, sieve)
+    dec = sums.dyadic_split(args.x, args.d, args.epsilon)
     rows = [
         ("lhs", dec.lhs),
         ("rhs_total", dec.rhs_total),
@@ -66,7 +65,7 @@ def _cmd_sum(args) -> int:
     ]
     if args.alpha != 0.5:
         rows.append((f"lhs_alpha_{args.alpha}",
-                     sums.lhs_sum(args.x, args.d, args.alpha, sieve)))
+                     sums.lhs_sum(args.x, args.d, args.alpha)))
     _write(_table(["quantity", "value"], rows, args.format), args.out)
     return 0
 

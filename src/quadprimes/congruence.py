@@ -1,4 +1,5 @@
-"""Roots of n**2 + d = 0 (mod q): prime moduli, prime-power lifting, CRT.
+"""Roots of n**2 + d = 0 (mod q): prime moduli, prime-power lifting, CRT,
+and the value sieve that steps those roots through blocks of values.
 
 rho(q) = #roots in [0, q) is multiplicative over coprime moduli; for odd
 primes p with p coprime to d it is 1 + (-d | p).
@@ -11,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, factorize, is_prime_u64
+from .arith import FactorSieve, factorize, is_prime_u64, primes_up_to
 
 _SCAN_CUTOFF = 64  # exhaustive residue scan below this prime; Tonelli-Shanks above
+_ROW_BLOCK = 1 << 18  # values per block of ValueSieve.quartic_rows
 
 
 def legendre(a: int, p: int) -> int:
@@ -186,3 +188,182 @@ def rho_table(limit: int, d: int, sieve: FactorSieve) -> np.ndarray:
             pp_cache[key] = r
         out[q] = r * out[m]
     return out
+
+
+def _progressions(first: np.ndarray, count: np.ndarray, step: int) -> np.ndarray:
+    """Concatenation of first[j] + step * arange(count[j]) over every j."""
+    ends = np.cumsum(count)
+    return (np.repeat(first - step * (ends - count), count)
+            + step * np.arange(ends[-1], dtype=np.int64))
+
+
+class ValueSieve:
+    """Factorisations of a block of values n**2 + c, by stepping roots.
+
+    ``values`` is the block, every value >= 1; an int64 array is divided in
+    place and becomes ``cofactor``. ``hits`` yields one pair (p, positions)
+    per prime p <= isqrt(max value), in ascending p: the positions of the
+    values that p divides, read off the roots of n**2 + c = 0 (mod p) instead
+    of found by trial division. Each prime is divided out with numpy fancy
+    indexing; a position that p does not divide raises ValueError.
+    Afterwards:
+
+    - ``cofactor[i]`` is what remains of value i: 1 or a prime larger than
+      every sieved prime;
+    - ``omega[i]`` counts the distinct primes of value i, cofactor included;
+    - ``largest[i]`` is the largest sieved prime dividing value i (1 if none);
+    - ``hit_index``, ``hit_prime`` and ``hit_exp`` hold one entry per sieved
+      prime dividing a value: the position, the prime and its exponent, in
+      ascending prime order.
+
+    The front ends ``shift`` (n**2 + d) and ``quartic_rows`` (n**2 + m**4)
+    build the block and its hits.
+    """
+
+    def __init__(self, values: np.ndarray, hits):
+        cofactor = np.asarray(values, dtype=np.int64)
+        largest = np.ones(len(cofactor), dtype=np.int64)
+        index, primes, counts, exps = [], [], [], []
+        for p, idx in hits:
+            q, r = np.divmod(cofactor[idx], p)
+            if r.any():
+                raise ValueError(f"{p} does not divide every value it hits")
+            cofactor[idx] = q
+            exp = np.ones(len(idx), dtype=np.uint8)
+            k = np.flatnonzero(q % p == 0)
+            while len(k):
+                at = idx[k]
+                cofactor[at] //= p
+                exp[k] += 1
+                k = k[cofactor[at] % p == 0]
+            largest[idx] = p
+            index.append(idx)
+            primes.append(p)
+            counts.append(len(idx))
+            exps.append(exp)
+        self.cofactor = cofactor
+        self.largest = largest
+        self.hit_index = np.concatenate(index) if index else np.empty(0, np.int64)
+        self.hit_prime = np.repeat(np.array(primes, dtype=np.int64), counts)
+        self.hit_exp = np.concatenate(exps) if exps else np.empty(0, np.uint8)
+        self.omega = (np.bincount(self.hit_index, minlength=len(cofactor))
+                      + (cofactor > 1)).astype(np.uint8)
+
+    @classmethod
+    def shift(cls, n_lo: int, n_hi: int, d: int) -> "ValueSieve":
+        """Sieve n**2 + d for 0 <= n_lo <= n <= n_hi; position i holds n_lo + i."""
+        if n_hi < n_lo:
+            return cls(np.empty(0, dtype=np.int64), ())
+        if n_hi * n_hi + abs(d) >= 1 << 63:
+            raise OverflowError("n**2 + d exceeds 63 bits")
+        if n_lo < 0:
+            raise ValueError("n_lo must be >= 0")
+        if n_lo * n_lo + d < 1:
+            raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
+        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+        size = len(n)
+
+        def hits():
+            for p in primes_up_to(math.isqrt(n_hi * n_hi + d)).tolist():
+                roots = sqrt_mod_prime(-d % p, p)
+                if roots:
+                    yield p, np.concatenate(
+                        [np.arange((r - n_lo) % p, size, p) for r in roots])
+
+        return cls(n * n + d, hits())
+
+    @classmethod
+    def quartic_rows(cls, x: int):
+        """Yield sieves over the values n**2 + m**4 <= x with n, m >= 1, in
+        (m, n) lexicographic order, each over at most _ROW_BLOCK values.
+
+        For a fixed row m the roots mod p are +-m**2 i_p with i_p**2 = -1
+        (p = 1 mod 4), 0 when p divides m, and m mod 2 for p = 2.
+        """
+        if x >= 1 << 63:
+            raise OverflowError("x exceeds 63 bits")
+        ps = primes_up_to(math.isqrt(x) if x >= 2 else 0)
+        unit = np.array([sqrt_mod_prime(p - 1, p)[0] if p % 4 == 1 else 0
+                         for p in ps.tolist()], dtype=np.int64)
+        segments = []  # (m, n_lo, n_hi), n_lo <= n_hi
+        size = 0
+        m = 1
+        while m ** 4 + 1 <= x:
+            top = math.isqrt(x - m ** 4)
+            lo = 1
+            while lo <= top:
+                hi = min(top, lo + _ROW_BLOCK - size - 1)
+                segments.append((m, lo, hi))
+                size += hi - lo + 1
+                lo = hi + 1
+                if size == _ROW_BLOCK:
+                    yield cls._rows(segments, ps, unit)
+                    segments, size = [], 0
+            m += 1
+        if segments:
+            yield cls._rows(segments, ps, unit)
+
+    @classmethod
+    def _rows(cls, segments: list, ps: np.ndarray, unit: np.ndarray) -> "ValueSieve":
+        m, lo, hi = (np.array(c, dtype=np.int64) for c in zip(*segments))
+        count = hi - lo + 1
+        offset = np.cumsum(count) - count
+        values = _progressions(lo, count, 1) ** 2 + np.repeat(m ** 4, count)
+        m_sq = m * m
+        last = np.searchsorted(ps, math.isqrt(int(values.max())), side="right")
+
+        def hits():
+            for p, i in zip(ps[:last].tolist(), unit[:last].tolist()):
+                if p == 2:
+                    segs, roots = np.arange(len(m)), m % 2
+                elif i:
+                    r = m_sq % p * i % p
+                    two = np.flatnonzero(r != 0)
+                    segs = np.concatenate([np.arange(len(m)), two])
+                    roots = np.concatenate([r, p - r[two]])
+                else:
+                    segs = np.flatnonzero(m % p == 0)
+                    if not len(segs):
+                        continue
+                    roots = np.zeros(len(segs), dtype=np.int64)
+                first = (roots - lo[segs]) % p
+                steps = (hi[segs] - lo[segs] - first) // p + 1
+                yield p, _progressions(offset[segs] + first, steps, p)
+
+        return cls(values, hits())
+
+    def largest_prime(self) -> np.ndarray:
+        """Largest prime factor of each value (1 for the value 1)."""
+        return np.maximum(self.largest, self.cofactor)
+
+    def prime_power_base(self) -> np.ndarray:
+        """p where the value is a power of the prime p, else 0."""
+        return np.where(self.omega == 1, self.largest_prime(), 0)
+
+    def squarefree_divisors(self):
+        """(owner, q, mu(q), omega(q)) over every squarefree divisor q of every
+        value, with owner the value's position, ascending."""
+        size = len(self.cofactor)
+        order = np.argsort(self.hit_index, kind="stable")
+        owner = self.hit_index[order]
+        sieved = np.bincount(owner, minlength=size)
+        column = np.arange(len(owner)) - np.repeat(np.cumsum(sieved) - sieved, sieved)
+        distinct = np.ones((size, int(self.omega.max(initial=0))), dtype=np.int64)
+        distinct[owner, column] = self.hit_prime[order]
+        big = np.flatnonzero(self.cofactor > 1)
+        distinct[big, sieved[big]] = self.cofactor[big]
+        owners, qs, bits = [], [], []
+        for k in range(distinct.shape[1] + 1):
+            rows = np.flatnonzero(self.omega == k)
+            q = np.ones((len(rows), 1), dtype=np.int64)
+            b = np.zeros(1, dtype=np.int64)
+            for j in range(k):
+                q = np.hstack([q, q * distinct[rows, j : j + 1]])
+                b = np.concatenate([b, b + 1])
+            owners.append(np.repeat(rows, 1 << k))
+            qs.append(q.ravel())
+            bits.append(np.tile(b, len(rows)))
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        bits = np.concatenate(bits)[order]
+        return owner[order], np.concatenate(qs)[order], 1 - 2 * (bits & 1), bits

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime_u64, primes_up_to
-from .congruence import roots_mod
+from .congruence import ValueSieve, roots_mod
 from .primes import B_CONSTANT_REF, ConstantEstimate
 
 
@@ -29,28 +29,39 @@ def euler_gamma(n: int = 200) -> float:
 def _factor_structure(n_max: int) -> list:
     """facs[m] = prime factorization of m**2 + 1 for 1 <= m <= n_max.
 
-    Primes up to n_max are stripped by stepping the roots of the congruence;
-    the remaining cofactor is 1 or a single prime > n_max.
+    The primes up to n_max come from a ValueSieve, ascending; the cofactor it
+    leaves is 1 or a single prime > n_max and goes last.
     """
-    vals = [0] + [m * m + 1 for m in range(1, n_max + 1)]
+    sv = ValueSieve.shift(1, n_max, 1)
     facs: list = [[] for _ in range(n_max + 1)]
-    for p in primes_up_to(n_max):
-        p = int(p)
-        if p != 2 and p % 4 != 1:
-            continue  # -1 is a nonresidue, p never divides m**2 + 1
-        for r in roots_mod(p, 1).roots:
-            start = r if r >= 1 else p
-            for m in range(start, n_max + 1, p):
-                e = 0
-                while vals[m] % p == 0:
-                    vals[m] //= p
-                    e += 1
-                if e:
-                    facs[m].append((p, e))
-    for m in range(1, n_max + 1):
-        if vals[m] > 1:
-            facs[m].append((vals[m], 1))
+    for i, p, e in zip(sv.hit_index.tolist(), sv.hit_prime.tolist(),
+                       sv.hit_exp.tolist()):
+        facs[i + 1].append((p, e))
+    for i in np.flatnonzero(sv.cofactor > 1).tolist():
+        facs[i + 1].append((int(sv.cofactor[i]), 1))
     return facs
+
+
+def _valuation_rises(n_max: int):
+    """(m, p, rise) for each prime p whose maximal valuation over
+    1**2 + 1, ..., m**2 + 1 is larger than over the values before m, with the
+    rise in exponent; ordered by m, then p (the order psi_f(m) grows in)."""
+    sv = ValueSieve.shift(1, n_max, 1)
+    big = np.flatnonzero(sv.cofactor > 1)
+    m = np.concatenate([sv.hit_index, big]) + 1
+    p = np.concatenate([sv.hit_prime, sv.cofactor[big]])
+    e = np.concatenate([sv.hit_exp, np.ones(len(big), np.uint8)]).astype(np.int64)
+    order = np.lexsort((m, p))
+    m, p, e = m[order], p[order], e[order]
+    first = np.r_[True, p[1:] != p[:-1]]
+    group = np.cumsum(first)
+    # running maximum of e within each prime's group (e < 64)
+    best = np.maximum.accumulate(group * 64 + e) - group * 64
+    prev = np.r_[0, best[:-1]]
+    prev[first] = 0
+    up = np.flatnonzero(e > prev)
+    order = np.lexsort((p[up], m[up]))
+    return m[up][order], p[up][order], (e - prev)[up][order]
 
 
 def _log_big(n: int) -> float:
@@ -151,17 +162,15 @@ def psi_residual_trend(n_max: int, samples: int = 24,
         raise ValueError("psi_residual_trend requires n_max >= 100")
     pts = sorted({int(round(100 * (n_max / 100) ** (i / (samples - 1))))
                   for i in range(samples)})
-    facs = _factor_structure(n_max)
-    best: dict = {}
+    m, p, rise = _valuation_rises(n_max)
     running = 0.0
-    psi_all = np.zeros(n_max + 1)
-    for m in range(1, n_max + 1):
-        for p, e in facs[m]:
-            prev = best.get(p, 0)
-            if e > prev:
-                best[p] = e
-                running += (e - prev) * math.log(p)
-        psi_all[m] = running
+    after = []
+    for r, q in zip(rise.tolist(), p.tolist()):
+        running += r * math.log(q)
+        after.append(running)
+    # every m >= 1 has a rise (m = 1 brings 2), so each reads its last one
+    last = np.searchsorted(m, np.arange(n_max + 1), side="right") - 1
+    psi_all = np.array([0.0] + after)[last + 1]
     ns = np.array(pts, dtype=np.float64)
     psi = psi_all[pts]
     residuals = psi - ns * np.log(ns) - B_used * ns

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import FactorSieve, factorize, is_prime_u64, primes_up_to
-from .congruence import quadratic_character, roots_mod
+from .arith import FactorSieve, is_prime_u64, primes_up_to
+from .congruence import ValueSieve, quadratic_character
 
 _U64_MAX = (1 << 64) - 1
 
@@ -139,32 +139,12 @@ class FouvryIwaniecResult:
 def fouvry_iwaniec_sum(x: float) -> FouvryIwaniecResult:
     """Sum of Lambda(n**2 + m**4) over n, m >= 1 with n**2 + m**4 <= x,
     against the predicted (4 kappa / pi) x**(3/4)."""
-    xi = int(x)
-    if xi >= 1 << 63:
-        raise OverflowError("x too large")
-    # Lambda restricted to prime powers: primes tested directly, higher powers
-    # from a precomputed table (sparse below x).
-    power_log: dict = {}
-    for p in primes_up_to(math.isqrt(xi) if xi >= 4 else 0):
-        p = int(p)
-        v = p * p
-        lp = math.log(p)
-        while v <= xi:
-            power_log[v] = lp
-            v *= p
     total = 0.0
-    m = 1
-    while m ** 4 + 1 <= xi:
-        m4 = m ** 4
-        top = math.isqrt(xi - m4)
-        for n in range(1, top + 1):
-            v = n * n + m4
-            lam = power_log.get(v)
-            if lam is not None:
-                total += lam
-            elif is_prime_u64(v):
-                total += math.log(v)
-        m += 1
+    for sv in ValueSieve.quartic_rows(int(x)):
+        base = sv.prime_power_base()
+        for p in base[base > 0].tolist():
+            total += math.log(p)
+        del sv, base  # free this block before the next one is sieved
     predicted = 4.0 * kappa_gamma() / math.pi * x ** 0.75
     return FouvryIwaniecResult(x, total, predicted)
 
@@ -223,33 +203,16 @@ class LpfRecords:
     max_prime: int
 
 
-def _largest_factors(n_max: int, d: int, sieve: FactorSieve | None) -> list:
-    """Largest prime factor of n**2 + d for n = 1..n_max, by root-stepping the
-    primes p <= n_max through the value array and testing the cofactor."""
-    vals = [0] + [n * n + d for n in range(1, n_max + 1)]
-    lpf = [1] * (n_max + 1)
-    for p in primes_up_to(n_max):
-        p = int(p)
-        for r in roots_mod(p, d, sieve).roots:
-            start = r if r >= 1 else p
-            for n in range(start, n_max + 1, p):
-                if vals[n] % p == 0:
-                    while vals[n] % p == 0:
-                        vals[n] //= p
-                    lpf[n] = max(lpf[n], p)
-    for n in range(1, n_max + 1):
-        c = vals[n]
-        if c > 1:
-            if is_prime_u64(c):
-                lpf[n] = max(lpf[n], c)
-            else:
-                lpf[n] = max(lpf[n], factorize(c).largest_prime)
-    return lpf
+def _largest_factors(n_max: int, d: int) -> list:
+    """Largest prime factor of n**2 + d at index n, for n = 1..n_max."""
+    return [1] + ValueSieve.shift(1, n_max, d).largest_prime().tolist()
 
 
 def largest_prime_factor_records(n_max: int, d: int,
                                  sieve: FactorSieve | None = None) -> LpfRecords:
-    lpf = _largest_factors(n_max, d, sieve)
+    """Records of log P(n**2 + d) / log n over 2 <= n <= n_max, where P is the
+    largest prime factor; ``sieve`` is no longer read."""
+    lpf = _largest_factors(n_max, d)
     records = []
     best = 0.0
     for n in range(2, n_max + 1):

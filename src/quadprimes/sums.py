@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import FactorSieve, shared_sieve, squarefree_divisors, von_mangoldt
-from .congruence import roots_mod
+import numpy as np
+
+from .arith import FactorSieve, shared_sieve, von_mangoldt
+from .congruence import ValueSieve, roots_mod
 
 
 def _n_limit(x: float, d: int) -> int:
@@ -37,38 +39,35 @@ def lhs_sum(x: float, d: int, alpha: float = 0.5,
     return total
 
 
-def _support_weights(x: float, d: int, sieve: FactorSieve) -> dict:
-    """For every squarefree modulus q dividing some n**2 + d <= x, the weighted
-    progression sum T(x; q, d) = sum of 1/(n sqrt(log n)) over qualifying n >= 2,
-    together with mu(q). Moduli with mu(q) = 0 contribute nothing and are skipped.
+def _expansion(x: float, d: int):
+    """Sieve n**2 + d over 2 <= n, n**2 + d <= x, and collect the Mobius support.
+
+    Returns the ValueSieve and, for every squarefree q dividing one of these
+    values (the only moduli with a nonzero progression sum), in ascending q:
+    mu(q), omega(q) and T(x; q, d) = sum of 1/(n sqrt(log n)) over the n with
+    q | n**2 + d, added in ascending n.
     """
-    support: dict = {}
     top = _n_limit(x, d)
-    for n in range(2, top + 1):
-        w = 1.0 / (n * math.sqrt(math.log(n)))
-        for q, mu in squarefree_divisors(n * n + d, sieve):
-            entry = support.get(q)
-            if entry is None:
-                support[q] = [mu, w]
-            else:
-                entry[1] += w
-    return support
+    sv = ValueSieve.shift(2, top, d)
+    owner, q, mu, om = sv.squarefree_divisors()
+    w = np.array([1.0 / (n * math.sqrt(math.log(n))) for n in range(2, top + 1)])
+    qs, first, inv = np.unique(q, return_index=True, return_inverse=True)
+    t = np.bincount(inv, w[owner])  # adds in owner (= ascending n) order
+    return sv, qs.tolist(), mu[first].tolist(), om[first].tolist(), t.tolist()
 
 
 def rhs_mobius_expansion(x: float, d: int, sieve: FactorSieve | None = None) -> float:
     """-sum over q <= x of mu(q) log(q) T(x; q, d).
 
     Only divisors of some value n**2 + d <= x have a nonzero inner sum, so the
-    sum runs over that support set, in ascending q.
+    sum runs over that support set, in ascending q. The values come from one
+    ValueSieve, in O(sqrt x) memory; ``sieve`` is no longer read.
     """
     if x < 5:
         return 0.0
-    if sieve is None:
-        sieve = shared_sieve(int(x) + abs(d))
-    support = _support_weights(x, d, sieve)
+    _, qs, mus, _, ts = _expansion(x, d)
     total = 0.0
-    for q in sorted(support):
-        mu, t = support[q]
+    for q, mu, t in zip(qs, mus, ts):
         if q > 1:
             total -= mu * math.log(q) * t
     return total
@@ -99,27 +98,32 @@ class SumDecomposition:
 def dyadic_split(x: float, d: int, epsilon: float = 0.1,
                  sieve: FactorSieve | None = None) -> SumDecomposition:
     """Partition the Mobius expansion by q <= x**(1/2 - eps) vs larger q, and
-    sub-partition the large part by omega(q) <= / > ceil(log log x)."""
+    sub-partition the large part by omega(q) <= / > ceil(log log x).
+
+    Lambda, the squarefree divisors and omega(q) all come from one ValueSieve;
+    ``sieve`` is no longer read.
+    """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if sieve is None:
-        sieve = shared_sieve(max(int(x) + abs(d), 16))
-    lhs = lhs_sum(x, d, 0.5, sieve)
     threshold = math.ceil(math.log(math.log(x))) if x > math.e else 1
     cut = x ** (0.5 - epsilon)
-    small = low = high = 0.0
-    support = _support_weights(x, d, sieve) if x >= 5 else {}
-    for q in sorted(support):
-        if q == 1:
-            continue
-        mu, t = support[q]
-        term = -mu * math.log(q) * t
-        if q <= cut:
-            small += term
-        elif sieve.omega(q) <= threshold:
-            low += term
-        else:
-            high += term
+    lhs = small = low = high = 0.0
+    if x >= 5:
+        sv, qs, mus, oms, ts = _expansion(x, d)
+        base = sv.prime_power_base()
+        at = np.flatnonzero(base)
+        for n, p in zip((at + 2).tolist(), base[at].tolist()):
+            lhs += math.log(p) / (n * math.log(n) ** 0.5)
+        for q, mu, om, t in zip(qs, mus, oms, ts):
+            if q == 1:
+                continue
+            term = -mu * math.log(q) * t
+            if q <= cut:
+                small += term
+            elif om <= threshold:
+                low += term
+            else:
+                high += term
     return SumDecomposition(x, d, epsilon, lhs, small, low, high, threshold)
 
 

@@ -333,7 +333,10 @@ _CHECKS = (
 def run_suite(params: SuiteParams) -> VerificationReport:
     """Run every check; results are assembled in fixed definition order, so
     the report content does not depend on the worker count (timings aside)."""
-    sieve = arith.shared_sieve(max(int(params.x) + abs(params.d), 100_000))
+    # Sized for the checks that read it, each capped: high_omega_mass at
+    # 10**6, the rest at 10**5. The value sums factor n**2 + d without it.
+    sieve = arith.shared_sieve(max(min(int(params.x), 10**6) + abs(params.d),
+                                   100_000))
     report = VerificationReport()
     if params.threads > 1:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:

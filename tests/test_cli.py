@@ -57,6 +57,20 @@ def test_sum_csv(capsys):
                                                rel=1e-9)
 
 
+def test_sum_at_1e9_factors_values_without_spf_table(capsys):
+    code, out, err = run_cli(capsys, "sum", "--x", "1e9")
+    assert code == 0, err
+    rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+    lhs, rhs = float(rows["lhs"]), float(rows["rhs_total"])
+    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+def test_sum_beyond_63_bits_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "sum", "--x", "1e30")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(capsys, "constants", "--prime-bound", "1e5",
                            "--format", "json")

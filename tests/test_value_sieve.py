@@ -1,0 +1,208 @@
+"""ValueSieve and its consumers against per-value factorisation and against
+the per-value loops they replaced, which add floats in the same order."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from quadprimes import arith, congruence, lcmpsi, primes, sums
+from quadprimes.congruence import ValueSieve
+
+SIEVE = arith.shared_sieve(10**6 + 100)
+
+
+def sieved_parts(sv: ValueSieve, size: int) -> list:
+    """Per position, ((p, e), ...) ascending, from the hits and the cofactor."""
+    parts = [[] for _ in range(size)]
+    for i, p, e in zip(sv.hit_index.tolist(), sv.hit_prime.tolist(),
+                       sv.hit_exp.tolist()):
+        parts[i].append((p, e))
+    for i, c in enumerate(sv.cofactor.tolist()):
+        if c > 1:
+            parts[i].append((c, 1))
+    return [tuple(ps) for ps in parts]
+
+
+def check_against_factorize(sv: ValueSieve, values: list):
+    parts = sieved_parts(sv, len(values))
+    largest = sv.largest_prime().tolist()
+    base = sv.prime_power_base().tolist()
+    for i, v in enumerate(values):
+        f = arith.factorize(v)
+        assert parts[i] == f.parts, v
+        assert sv.omega[i] == f.omega, v
+        assert largest[i] == f.largest_prime, v
+        assert base[i] == (f.parts[0][0] if f.omega == 1 else 0), v
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 100), n_max=st.integers(0, 3000))
+def test_shift_matches_factorize(d, n_max):
+    sv = ValueSieve.shift(1, n_max, d)
+    check_against_factorize(sv, [n * n + d for n in range(1, n_max + 1)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(-100, 100), n_lo=st.integers(0, 500),
+       length=st.integers(0, 500))
+def test_shift_window_matches_factorize(d, n_lo, length):
+    if d < 1:
+        n_lo = max(n_lo, math.isqrt(-d) + 1)
+    n_hi = n_lo + length - 1
+    sv = ValueSieve.shift(n_lo, n_hi, d)
+    check_against_factorize(sv, [n * n + d for n in range(n_lo, n_hi + 1)])
+
+
+def test_shift_bounds():
+    with pytest.raises(ValueError):
+        ValueSieve.shift(1, 10, -1)  # 1**2 - 1 = 0
+    with pytest.raises(ValueError):
+        ValueSieve.shift(-3, 10, 1)
+    with pytest.raises(OverflowError):
+        ValueSieve.shift(1, 3_037_000_500, 0)  # n_max**2 >= 2**63
+    with pytest.raises(OverflowError):
+        ValueSieve.shift(1, 10, 1 << 63)
+    assert len(ValueSieve.shift(5, 4, 1).cofactor) == 0
+
+
+def quartic_values(x: int) -> list:
+    """The values n**2 + m**4 <= x, n, m >= 1, in (m, n) lexicographic order."""
+    out = []
+    m = 1
+    while m ** 4 + 1 <= x:
+        out += [n * n + m ** 4 for n in range(1, math.isqrt(x - m ** 4) + 1)]
+        m += 1
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=st.integers(0, 10**5), block=st.integers(16, 3000))
+@example(x=1000, block=1)
+def test_quartic_rows_match_factorize(x, block):
+    values = quartic_values(x)
+    old = congruence._ROW_BLOCK
+    congruence._ROW_BLOCK = block
+    try:
+        sieves = list(ValueSieve.quartic_rows(x))
+    finally:
+        congruence._ROW_BLOCK = old
+    sizes = [len(sv.cofactor) for sv in sieves]
+    assert sum(sizes) == len(values)
+    assert all(s == block for s in sizes[:-1]) and all(s <= block for s in sizes)
+    start = 0
+    for sv, size in zip(sieves, sizes):
+        check_against_factorize(sv, values[start : start + size])
+        start += size
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.integers(0, 10**5))
+def test_fouvry_iwaniec_equals_direct_sum(x):
+    direct = 0.0
+    for v in quartic_values(x):
+        direct += arith.von_mangoldt(v)
+    assert primes.fouvry_iwaniec_sum(x).lambda_sum == direct
+
+
+def test_quartic_rows_rejects_63_bits():
+    with pytest.raises(OverflowError):
+        next(ValueSieve.quartic_rows(1 << 63))
+    with pytest.raises(OverflowError):
+        primes.fouvry_iwaniec_sum(2.0 ** 63)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(0, 100), n_max=st.integers(0, 2000))
+def test_largest_factors_match_factorize(d, n_max):
+    lpf = primes._largest_factors(n_max, d)
+    assert len(lpf) == n_max + 1
+    for n in range(1, n_max + 1):
+        assert lpf[n] == arith.factorize(n * n + d).largest_prime
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_max=st.integers(1, 3000))
+def test_factor_structure_matches_factorize(n_max):
+    facs = lcmpsi._factor_structure(n_max)
+    for m in range(1, n_max + 1):
+        assert tuple(facs[m]) == arith.factorize(m * m + 1).parts
+
+
+def test_squarefree_divisors_match_arith():
+    d = 7
+    sv = ValueSieve.shift(1, 400, d)
+    owner, q, mu, om = sv.squarefree_divisors()
+    assert np.all(np.diff(owner) >= 0)
+    for i in range(400):
+        n = i + 1
+        got = sorted(zip(q[owner == i].tolist(), mu[owner == i].tolist(),
+                         om[owner == i].tolist()))
+        want = sorted((s, m, arith.omega(s)) for s, m
+                      in arith.squarefree_divisors(n * n + d))
+        assert got == want, n
+
+
+def support_loop(x, d):
+    """The per-value loop rhs_mobius_expansion and dyadic_split used to run:
+    T(x; q, d) per squarefree q, summed in ascending n."""
+    support = {}
+    for n in range(2, sums._n_limit(x, d) + 1):
+        w = 1.0 / (n * math.sqrt(math.log(n)))
+        for q, mu in arith.squarefree_divisors(n * n + d, SIEVE):
+            entry = support.get(q)
+            if entry is None:
+                support[q] = [mu, w]
+            else:
+                entry[1] += w
+    return support
+
+
+@pytest.mark.parametrize("x, d", [(10, 1), (10**4, 3), (10**5, 1),
+                                  (10**5, 28), (54_321, -3)])
+def test_expansion_is_bit_identical_to_loop(x, d):
+    support = support_loop(x, d)
+    total = 0.0
+    small = low = high = 0.0
+    threshold = math.ceil(math.log(math.log(x)))
+    cut = x ** (0.5 - 0.1)
+    for q in sorted(support):
+        mu, t = support[q]
+        if q > 1:
+            total -= mu * math.log(q) * t
+            term = -mu * math.log(q) * t
+            if q <= cut:
+                small += term
+            elif SIEVE.omega(q) <= threshold:
+                low += term
+            else:
+                high += term
+    assert sums.rhs_mobius_expansion(x, d) == total
+    dec = sums.dyadic_split(x, d, 0.1)
+    assert (dec.small_part, dec.large_low_omega, dec.large_high_omega) == \
+        (small, low, high)
+    assert dec.lhs == sums.lhs_sum(x, d, 0.5)
+
+
+def test_psi_trend_is_bit_identical_to_loop():
+    n_max = 3000
+    facs = lcmpsi._factor_structure(n_max)
+    best = {}
+    running = 0.0
+    want = [0.0]
+    for m in range(1, n_max + 1):
+        for p, e in facs[m]:
+            prev = best.get(p, 0)
+            if e > prev:
+                best[p] = e
+                running += (e - prev) * math.log(p)
+        want.append(running)
+    tr = lcmpsi.psi_residual_trend(n_max)
+    assert tr.psi == tuple(want[n] for n in tr.ns)
+
+
+def test_dyadic_split_builds_no_spf_table():
+    arith.shared_sieve(100)
+    sums.dyadic_split(1e8, 1)
+    assert arith._SIEVE_CACHE.limit < 1e8
