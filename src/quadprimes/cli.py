@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -38,9 +39,8 @@ def _table(header: list, rows: list, fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     params = SuiteParams(x=args.x, d=args.d, epsilon=args.epsilon,
-                         alpha=args.alpha, prime_bound=int(args.prime_bound),
-                         fi_x=args.fi_x, psi_n=int(args.psi_n),
-                         threads=args.threads)
+                         prime_bound=args.prime_bound, fi_x=args.fi_x,
+                         psi_n=args.psi_n)
     report = run_suite(params)
     if args.format == "csv":
         _write(report.to_csv(), args.out)
@@ -71,24 +71,22 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    q = int(args.n)
-    rs = congruence.roots_mod(q, args.d)
-    rows = [(q, args.d, r) for r in rs.roots]
+    rs = congruence.roots_mod(args.n, args.d)
+    rows = [(args.n, args.d, r) for r in rs.roots]
     _write(_table(["modulus", "shift", "root"], rows, args.format), args.out)
     return 0
 
 
 def _cmd_primes(args) -> int:
-    qp = primes.quadratic_primes(int(args.n), args.d)
+    qp = primes.quadratic_primes(args.n, args.d)
     rows = list(zip(qp.members, qp.primes))
     _write(_table(["n", "prime"], rows, args.format), args.out)
     return 0
 
 
 def _cmd_constants(args) -> int:
-    bound = int(args.prime_bound)
-    hl = primes.hardy_littlewood_constant(args.d, bound)
-    b = lcmpsi.B_constant(bound)
+    hl = primes.hardy_littlewood_constant(args.d, args.prime_bound)
+    b = lcmpsi.B_constant(args.prime_bound)
     rows = [
         (hl.name, hl.truncation_bound, hl.raw, hl.averaged, hl.reference),
         (b.name, b.truncation_bound, b.raw, b.averaged, b.reference),
@@ -101,14 +99,14 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_nagell(args) -> int:
-    sols = nagell.lebesgue_nagell_solve(args.d, int(args.x))
+    sols = nagell.lebesgue_nagell_solve(args.d, args.x)
     rows = [(s.x, s.y, s.n) for s in sols]
     _write(_table(["x", "y", "n"], rows, args.format), args.out)
     return 0
 
 
 def _cmd_psi(args) -> int:
-    tr = lcmpsi.psi_residual_trend(max(int(args.n), 100))
+    tr = lcmpsi.psi_residual_trend(max(args.n, 100))
     rows = list(zip(tr.ns, tr.psi, tr.residuals))
     _write(_table(["n", "psi", "residual"], rows, args.format), args.out)
     print(f"fitted_slope {tr.fitted_slope!r}  (B used: {tr.B_used!r})",
@@ -117,11 +115,57 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    x = int(args.x)
-    h = stats.omega_histogram(x)
+    h = stats.omega_histogram(args.x)
     rows = [(k, c) for k, c in enumerate(h.counts)]
     _write(_table(["k", "pi_k"], rows, args.format), args.out)
     return 0
+
+
+# Python's own default cap on the digits of int(str).
+_MAX_DIGITS = 4300
+
+
+def exact_int(text: str) -> int:
+    """argparse type for integer flags: digits or e-notation (``1e6``),
+    parsed exactly, without passing through a float."""
+    try:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    # adjusted() is the exponent of the leading digit: checked before int()
+    # builds the value, so "1e100000000" costs nothing.
+    if value.adjusted() >= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"more than {_MAX_DIGITS} digits: {text!r}")
+    return int(value)
+
+
+# (flag, type, default, help) of each settable value.
+_X_HELP = "cutoff for value sums / search boxes"
+_X = ("--x", float, 1e5, _X_HELP)
+_X_INT = ("--x", exact_int, 100_000, _X_HELP)
+_N = ("--n", exact_int, 100, "index bound (or modulus for `roots`)")
+_D = ("--d", int, 1, "shift in n^2 + d")
+_EPSILON = ("--epsilon", float, 0.1, None)
+_ALPHA = ("--alpha", float, 0.5, None)
+_PRIME_BOUND = ("--prime-bound", exact_int, 10_000_000, None)
+_FI_X = ("--fi-x", float, 1e8, "cutoff for the n^2 + m^4 sum check")
+_PSI_N = ("--psi-n", exact_int, 20_000, "index bound for the psi slope check")
+
+# Each subcommand takes exactly the flags its handler reads, plus --format
+# and --out.
+_COMMANDS = {
+    "verify": (_cmd_verify, (_X, _D, _EPSILON, _PRIME_BOUND, _FI_X, _PSI_N)),
+    "sum": (_cmd_sum, (_X, _D, _EPSILON, _ALPHA)),
+    "roots": (_cmd_roots, (_N, _D)),
+    "primes": (_cmd_primes, (_N, _D)),
+    "constants": (_cmd_constants, (_D, _PRIME_BOUND)),
+    "nagell": (_cmd_nagell, (_D, _X_INT)),
+    "psi": (_cmd_psi, (_N,)),
+    "stats": (_cmd_stats, (_X_INT,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,40 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadprimes",
         description="Computations and verification for quadratic primes n^2 + d.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--x", type=float, default=1e5,
-                        help="cutoff for value sums / search boxes")
-        sp.add_argument("--n", type=float, default=100,
-                        help="index bound (or modulus for `roots`)")
-        sp.add_argument("--d", type=int, default=1, help="shift in n^2 + d")
-        sp.add_argument("--epsilon", type=float, default=0.1)
-        sp.add_argument("--alpha", type=float, default=0.5)
-        sp.add_argument("--prime-bound", dest="prime_bound", type=float,
-                        default=1e7)
+    for name, (handler, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag, type_, default, help_ in flags:
+            sp.add_argument(flag, type=type_, default=default, help=help_)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-
-    handlers = {
-        "verify": _cmd_verify,
-        "sum": _cmd_sum,
-        "roots": _cmd_roots,
-        "primes": _cmd_primes,
-        "constants": _cmd_constants,
-        "nagell": _cmd_nagell,
-        "psi": _cmd_psi,
-        "stats": _cmd_stats,
-    }
-    for name, fn in handlers.items():
-        sp = sub.add_parser(name)
-        common(sp)
-        if name == "verify":
-            sp.add_argument("--fi-x", dest="fi_x", type=float, default=1e8,
-                            help="cutoff for the n^2 + m^4 sum check")
-            sp.add_argument("--psi-n", dest="psi_n", type=float, default=2e4,
-                            help="index bound for the psi slope check")
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=handler)
     return ap
 
 

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .arith import FactorSieve, is_prime_u64, primes_up_to
+from .arith import is_prime_u64, primes_up_to
 from .congruence import ValueSieve, quadratic_character
 
 _U64_MAX = (1 << 64) - 1
@@ -115,6 +114,10 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
 
 def kappa_quadrature() -> float:
     """Integral of sqrt(1 - t**4) over [0, 1], by adaptive quadrature."""
+    # Imported here, not at module level: scipy.integrate dominates the
+    # import time of the whole package.
+    from scipy.integrate import quad
+
     value, _ = quad(lambda t: math.sqrt(1.0 - t ** 4), 0.0, 1.0,
                     epsabs=1e-13, epsrel=1e-13)
     return value
@@ -208,10 +211,9 @@ def _largest_factors(n_max: int, d: int) -> list:
     return [1] + ValueSieve.shift(1, n_max, d).largest_prime().tolist()
 
 
-def largest_prime_factor_records(n_max: int, d: int,
-                                 sieve: FactorSieve | None = None) -> LpfRecords:
+def largest_prime_factor_records(n_max: int, d: int) -> LpfRecords:
     """Records of log P(n**2 + d) / log n over 2 <= n <= n_max, where P is the
-    largest prime factor; ``sieve`` is no longer read."""
+    largest prime factor."""
     lpf = _largest_factors(n_max, d)
     records = []
     best = 0.0

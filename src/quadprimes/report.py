@@ -11,7 +11,6 @@ SUITE_VERSION = "1"
 
 PASS = "pass"
 FAIL = "fail"
-SKIP = "skip"
 
 
 @dataclass

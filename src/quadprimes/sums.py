@@ -56,12 +56,12 @@ def _expansion(x: float, d: int):
     return sv, qs.tolist(), mu[first].tolist(), om[first].tolist(), t.tolist()
 
 
-def rhs_mobius_expansion(x: float, d: int, sieve: FactorSieve | None = None) -> float:
+def rhs_mobius_expansion(x: float, d: int) -> float:
     """-sum over q <= x of mu(q) log(q) T(x; q, d).
 
     Only divisors of some value n**2 + d <= x have a nonzero inner sum, so the
     sum runs over that support set, in ascending q. The values come from one
-    ValueSieve, in O(sqrt x) memory; ``sieve`` is no longer read.
+    ValueSieve, in O(sqrt x) memory.
     """
     if x < 5:
         return 0.0
@@ -95,13 +95,11 @@ class SumDecomposition:
         return self.small_part + self.large_part
 
 
-def dyadic_split(x: float, d: int, epsilon: float = 0.1,
-                 sieve: FactorSieve | None = None) -> SumDecomposition:
+def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     """Partition the Mobius expansion by q <= x**(1/2 - eps) vs larger q, and
     sub-partition the large part by omega(q) <= / > ceil(log log x).
 
-    Lambda, the squarefree divisors and omega(q) all come from one ValueSieve;
-    ``sieve`` is no longer read.
+    Lambda, the squarefree divisors and omega(q) all come from one ValueSieve.
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")

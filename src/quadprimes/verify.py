@@ -2,8 +2,8 @@
 
 Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
-Checks are pure functions of the suite parameters plus immutable shared
-tables, so any worker count produces the identical report.
+Checks are pure functions of the suite parameters plus one shared sieve,
+run one after another in a single process, so the report is deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import arith, congruence, lcmpsi, nagell, primes, stats, sums
@@ -23,11 +22,9 @@ class SuiteParams:
     x: float = 1e5
     d: int = 1
     epsilon: float = 0.1
-    alpha: float = 0.5
     prime_bound: int = 10_000_000
     fi_x: float = 1e8
     psi_n: int = 20_000
-    threads: int = 1
 
 
 def _result(check_id, module, inputs, computed, reference, tol, passed, t0):
@@ -99,7 +96,7 @@ def _check_rho_omega_bound(p: SuiteParams, sieve):
 def _check_central_identity(p: SuiteParams, sieve):
     t0 = time.perf_counter()
     lhs = sums.lhs_sum(p.x, p.d, 0.5, sieve)
-    rhs = sums.rhs_mobius_expansion(p.x, p.d, sieve)
+    rhs = sums.rhs_mobius_expansion(p.x, p.d)
     rel = abs(lhs - rhs) / max(1.0, abs(lhs))
     return _result("central-identity", "weighted_sums",
                    {"x": p.x, "d": p.d}, rel, 0.0, 1e-9, rel <= 1e-9, t0)
@@ -107,7 +104,7 @@ def _check_central_identity(p: SuiteParams, sieve):
 
 def _check_dyadic_partition(p: SuiteParams, sieve):
     t0 = time.perf_counter()
-    dec = sums.dyadic_split(p.x, p.d, p.epsilon, sieve)
+    dec = sums.dyadic_split(p.x, p.d, p.epsilon)
     # canonical summation order: large = low + high, total = small + large
     recomb = dec.small_part + (dec.large_low_omega + dec.large_high_omega)
     diff = abs(recomb - dec.rhs_total)
@@ -270,7 +267,7 @@ def _check_psi_slope(p: SuiteParams, sieve):
 
 def _check_lpf_exponent(p: SuiteParams, sieve):
     t0 = time.perf_counter()
-    rec = primes.largest_prime_factor_records(10_000, 1, sieve)
+    rec = primes.largest_prime_factor_records(10_000, 1)
     best = max(e for _, _, e in rec.records)
     return _result("lpf-exponent", "prime_counts", {"n_max": 10_000, "d": 1},
                    best, 1.2, 0.0, best >= 1.2, t0)
@@ -331,17 +328,10 @@ _CHECKS = (
 
 
 def run_suite(params: SuiteParams) -> VerificationReport:
-    """Run every check; results are assembled in fixed definition order, so
-    the report content does not depend on the worker count (timings aside)."""
+    """Run every check in definition order; the report content is a function
+    of ``params`` alone (timings aside)."""
     # Sized for the checks that read it, each capped: high_omega_mass at
     # 10**6, the rest at 10**5. The value sums factor n**2 + d without it.
     sieve = arith.shared_sieve(max(min(int(params.x), 10**6) + abs(params.d),
                                    100_000))
-    report = VerificationReport()
-    if params.threads > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            futures = [pool.submit(fn, params, sieve) for fn in _CHECKS]
-            report.checks = [f.result() for f in futures]
-    else:
-        report.checks = [fn(params, sieve) for fn in _CHECKS]
-    return report
+    return VerificationReport(checks=[fn(params, sieve) for fn in _CHECKS])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quadprimes.cli import main
+from quadprimes.cli import build_parser, exact_int, main
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,13 @@ def test_sum_csv(capsys):
     rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
     assert float(rows["lhs"]) == pytest.approx(float(rows["rhs_total"]),
                                                rel=1e-9)
+
+
+def test_sum_alpha_row(capsys):
+    code, out, _ = run_cli(capsys, "sum", "--x", "1000", "--alpha", "0.25")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+    assert float(rows["lhs_alpha_0.25"]) > 0.0
 
 
 def test_sum_at_1e9_factors_values_without_spf_table(capsys):
@@ -120,3 +127,81 @@ def test_console_script_entrypoint():
                            "--n", "5"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1:] == ["5,1,2", "5,1,3"]
+
+
+# Each subcommand's flags (besides --format and --out) and their defaults.
+FLAGS = {
+    "verify": {"x": 1e5, "d": 1, "epsilon": 0.1, "prime_bound": 10_000_000,
+               "fi_x": 1e8, "psi_n": 20_000},
+    "sum": {"x": 1e5, "d": 1, "epsilon": 0.1, "alpha": 0.5},
+    "roots": {"n": 100, "d": 1},
+    "primes": {"n": 100, "d": 1},
+    "constants": {"d": 1, "prime_bound": 10_000_000},
+    "nagell": {"d": 1, "x": 100_000},
+    "psi": {"n": 100},
+    "stats": {"x": 100_000},
+}
+EVERY_FLAG = {"x", "n", "d", "epsilon", "alpha", "prime_bound", "fi_x",
+              "psi_n", "threads"}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_subcommand_takes_only_its_flags(command, capsys):
+    args = vars(build_parser().parse_args([command]))
+    del args["handler"]
+    assert args == {"command": command, "format": "csv", "out": None,
+                    **FLAGS[command]}
+    for name in EVERY_FLAG - set(FLAGS[command]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "--" + name.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--threads", "2"],
+    ["psi", "--d", "3"],
+    ["roots", "--alpha", "1"],
+    ["stats", "--prime-bound", "5"],
+    ["verify", "--prime", "1e5"],  # no abbreviations
+])
+def test_flag_of_another_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_exact_int_parses_without_rounding():
+    assert exact_int("1e6") == 10**6
+    assert exact_int("1000000000000000009") == 10**18 + 9
+
+
+def test_roots_of_modulus_beyond_double_precision(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--n", "1000000000000000009")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == [
+        "1000000000000000009,1,333333333000000003",
+        "1000000000000000009,1,666666667000000006"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("roots", "--n"), ("primes", "--n"), ("psi", "--n"),
+    ("verify", "--prime-bound"), ("constants", "--prime-bound"),
+    ("verify", "--psi-n"), ("nagell", "--x"), ("stats", "--x"),
+])
+@pytest.mark.parametrize("value", ["65.7", "nan", "inf", "0x10",
+                                   "1e100000000"])
+def test_integer_flag_rejects_inexact_value(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_rejected_integer_prints_no_traceback():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
+                           "--n", "1e100000000"], capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --n" in proc.stderr

@@ -26,21 +26,21 @@ def test_lhs_rejects_bad_alpha():
 
 
 def test_rhs_examples():
-    assert sums.rhs_mobius_expansion(10, 1, SIEVE) == \
+    assert sums.rhs_mobius_expansion(10, 1) == \
         pytest.approx(sums.lhs_sum(10, 1), rel=1e-12)
-    assert sums.rhs_mobius_expansion(4, 1, SIEVE) == 0.0
+    assert sums.rhs_mobius_expansion(4, 1) == 0.0
 
 
 @pytest.mark.parametrize("x", [10**3, 10**4, 10**5])
 @pytest.mark.parametrize("d", [1, 3, 28])
 def test_central_identity(x, d):
     lhs = sums.lhs_sum(x, d, 0.5, SIEVE)
-    rhs = sums.rhs_mobius_expansion(x, d, SIEVE)
+    rhs = sums.rhs_mobius_expansion(x, d)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 def test_dyadic_partition_exact():
-    dec = sums.dyadic_split(10**4, 1, 0.1, SIEVE)
+    dec = sums.dyadic_split(10**4, 1, 0.1)
     assert dec.small_part + (dec.large_low_omega + dec.large_high_omega) \
         == dec.rhs_total
     assert abs(dec.lhs - dec.rhs_total) <= 1e-9 * max(1.0, abs(dec.lhs))
@@ -49,11 +49,11 @@ def test_dyadic_partition_exact():
 def test_dyadic_rejects_bad_epsilon():
     for eps in (0.0, 0.5, -0.1, 0.9):
         with pytest.raises(ValueError):
-            sums.dyadic_split(100, 1, eps, SIEVE)
+            sums.dyadic_split(100, 1, eps)
 
 
 def test_dyadic_large_part_small_at_1e6():
-    dec = sums.dyadic_split(10**6, 1, 0.1, SIEVE)
+    dec = sums.dyadic_split(10**6, 1, 0.1)
     assert abs(dec.large_part) / abs(dec.rhs_total) < 0.5
 
 
