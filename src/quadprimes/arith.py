@@ -1,9 +1,10 @@
 """Sieve-backed arithmetic functions and deterministic 64-bit primality.
 
-The smallest-prime-factor sieve is the shared substrate: Mobius, von Mangoldt,
-omega and full factorizations are O(log n) per query once the table exists.
-Everything above the sieve limit falls back to direct factorization
-(trial division + Pollard rho) and a deterministic Miller-Rabin test.
+``primes_up_to`` is the one Eratosthenes sieve; the smallest-prime-factor table
+is a strided pass over its primes. With that table Mobius, von Mangoldt, omega
+and full factorizations are O(log n) per query. Everything above the table's
+limit falls back to direct factorization (trial division + Pollard rho) and a
+deterministic Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -169,20 +170,32 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(parts.items())))
 
 
+def primes_up_to(limit: int) -> np.ndarray:
+    """All primes <= limit via a plain boolean Eratosthenes sieve."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+
+
 class FactorSieve:
-    """Smallest-prime-factor table for [2, limit]; immutable after construction."""
+    """Smallest-prime-factor table (int32) for [2, limit]; immutable after
+    construction."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
+        if limit >= 1 << 31:
+            raise ValueError("sieve limit must be < 2**31 (int32 table)")
         self.limit = int(limit)
-        spf = np.zeros(self.limit + 1, dtype=np.int64)
-        for p in range(2, math.isqrt(self.limit) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        unset = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[unset] = unset
+        spf = np.arange(self.limit + 1, dtype=np.int32)
+        # Largest prime first, so the smallest prime of each n writes last.
+        for p in primes_up_to(math.isqrt(self.limit))[::-1].tolist():
+            spf[p * p :: p] = p
         self.spf = spf
 
     def smallest_prime_factor(self, n: int) -> int:
@@ -320,26 +333,3 @@ def squarefree_divisors(n: int, sieve: FactorSieve | None = None) -> list:
     for p, _ in _parts_of(n, sieve):
         out += [(q * p, -s) for q, s in out]
     return out
-
-
-_SIEVE_CACHE: FactorSieve | None = None
-
-
-def shared_sieve(limit: int) -> FactorSieve:
-    """Process-wide sieve, grown on demand; safe to share across readers."""
-    global _SIEVE_CACHE
-    if _SIEVE_CACHE is None or _SIEVE_CACHE.limit < limit:
-        _SIEVE_CACHE = FactorSieve(max(limit, 2))
-    return _SIEVE_CACHE
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit via a plain boolean Eratosthenes sieve."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)

@@ -166,27 +166,30 @@ def roots_mod_scan(q: int, d: int) -> tuple:
     return tuple(int(v) for v in hits)
 
 
-def rho_table(limit: int, d: int, sieve: FactorSieve) -> np.ndarray:
-    """rho(q, d) for all q in [0, limit], by multiplicative recursion over spf."""
-    if sieve.limit < limit:
-        raise ValueError("sieve too small for rho_table")
-    spf = sieve.spf
-    out = np.zeros(limit + 1, dtype=np.int64)
-    out[1] = 1
-    pp_cache: dict = {}
-    for q in range(2, limit + 1):
-        p = int(spf[q])
-        m = q
-        e = 0
-        while m % p == 0:
-            m //= p
+def rho_table(limit: int, d: int) -> np.ndarray:
+    """rho(q, d) for all q in [0, limit], one strided pass per prime p <= limit.
+
+    For p not dividing 2d every rho(p**e) is 1 + (-d | p), so each multiple of
+    p takes that factor once. For p dividing 2d the factor of q depends on the
+    exponent of p in q, and each exponent's count comes from Hensel lifting.
+    """
+    out = np.ones(limit + 1, dtype=np.int64)
+    out[0] = 0
+    for p in primes_up_to(limit).tolist():
+        if (2 * d) % p:
+            r = 1 + quadratic_character(d, p)
+            if r != 1:
+                out[p::p] *= r
+            continue
+        # factor[k - 1] is rho(p**e) for q = p*k with p**e exactly dividing q;
+        # the larger exponents write last.
+        factor = np.empty(limit // p, dtype=np.int64)
+        step, e = 1, 1
+        while step <= limit // p:
+            factor[step - 1 :: step] = len(_lift_prime_power(p, e, d))
+            step *= p
             e += 1
-        key = (p, e)
-        r = pp_cache.get(key)
-        if r is None:
-            r = len(_lift_prime_power(p, e, d))
-            pp_cache[key] = r
-        out[q] = r * out[m]
+        out[p::p] *= factor
     return out
 
 

@@ -26,22 +26,6 @@ def euler_gamma(n: int = 200) -> float:
             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
 
 
-def _factor_structure(n_max: int) -> list:
-    """facs[m] = prime factorization of m**2 + 1 for 1 <= m <= n_max.
-
-    The primes up to n_max come from a ValueSieve, ascending; the cofactor it
-    leaves is 1 or a single prime > n_max and goes last.
-    """
-    sv = ValueSieve.shift(1, n_max, 1)
-    facs: list = [[] for _ in range(n_max + 1)]
-    for i, p, e in zip(sv.hit_index.tolist(), sv.hit_prime.tolist(),
-                       sv.hit_exp.tolist()):
-        facs[i + 1].append((p, e))
-    for i in np.flatnonzero(sv.cofactor > 1).tolist():
-        facs[i + 1].append((int(sv.cofactor[i]), 1))
-    return facs
-
-
 def _valuation_rises(n_max: int):
     """(m, p, rise) for each prime p whose maximal valuation over
     1**2 + 1, ..., m**2 + 1 is larger than over the values before m, with the
@@ -73,12 +57,11 @@ def psi_f(n: int) -> float:
     """log lcm(1**2+1, ..., n**2+1) via maximal prime-power valuations."""
     if n < 1:
         raise ValueError("psi_f requires n >= 1")
-    best: dict = {}
-    for parts in _factor_structure(n)[1:]:
-        for p, e in parts:
-            if e > best.get(p, 0):
-                best[p] = e
-    return sum(e * math.log(p) for p, e in sorted(best.items()))
+    # the rises of each prime add up to its maximal valuation
+    _, p, rise = _valuation_rises(n)
+    ps, which = np.unique(p, return_inverse=True)
+    exps = np.bincount(which, weights=rise)
+    return sum(e * math.log(q) for q, e in zip(ps.tolist(), exps.tolist()))
 
 
 def psi_f_direct(n: int) -> float:

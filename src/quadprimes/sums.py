@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, shared_sieve, von_mangoldt
+from .arith import FactorSieve, von_mangoldt
 from .congruence import ValueSieve, roots_mod
 
 
@@ -188,7 +188,7 @@ def mobius_log_progression(x: float, q: int, a: int,
     if top < 1:
         return 0.0
     if sieve is None:
-        sieve = shared_sieve(max(top, 2))
+        sieve = FactorSieve(max(top, 2))
     total = 0.0
     start = a % q if a % q else q
     for n in range(start, top + 1, q):

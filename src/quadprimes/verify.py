@@ -2,8 +2,9 @@
 
 Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
-Checks are pure functions of the suite parameters plus one shared sieve,
-run one after another in a single process, so the report is deterministic.
+Checks are pure functions of the suite parameters plus the suite's own
+smallest-prime-factor table, run one after another in a single process, so the
+report is deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith, congruence, lcmpsi, nagell, primes, stats, sums
 from .report import FAIL, PASS, CheckResult, VerificationReport
@@ -86,9 +89,9 @@ def _check_rho_multiplicative(p: SuiteParams, sieve):
 def _check_rho_omega_bound(p: SuiteParams, sieve):
     t0 = time.perf_counter()
     top = min(int(p.x), 100_000)
-    rhos = congruence.rho_table(top, p.d, sieve)
-    bad = sum(1 for q in range(1, top + 1)
-              if rhos[q] > 2 ** (sieve.omega(q) + 2))
+    rhos = congruence.rho_table(top, p.d)[1:]
+    omegas = stats.omega_sieve(top)[1:].astype(np.int64)
+    bad = int((rhos > 2 ** (omegas + 2)).sum())
     return _result("rho-omega-bound", "quad_congruence",
                    {"q_max": top, "d": p.d}, bad, 0, 0.0, bad == 0, t0)
 
@@ -292,7 +295,7 @@ def _check_landau_ratio(p: SuiteParams, sieve):
 def _check_high_omega_mass(p: SuiteParams, sieve):
     t0 = time.perf_counter()
     x = max(16, min(int(p.x), 10**6))
-    hm = stats.high_omega_mass(x, p.d, sieve)
+    hm = stats.high_omega_mass(x, p.d)
     return _result("high-omega-mass", "composite_stats", {"x": x, "d": p.d},
                    hm.rho_sum, hm.bound, 0.0, hm.within_bound, t0)
 
@@ -330,8 +333,8 @@ _CHECKS = (
 def run_suite(params: SuiteParams) -> VerificationReport:
     """Run every check in definition order; the report content is a function
     of ``params`` alone (timings aside)."""
-    # Sized for the checks that read it, each capped: high_omega_mass at
-    # 10**6, the rest at 10**5. The value sums factor n**2 + d without it.
-    sieve = arith.shared_sieve(max(min(int(params.x), 10**6) + abs(params.d),
-                                   100_000))
+    # Sized from x alone, for the checks that read it: the values
+    # n**2 + d <= x of lhs_sum up to 10**6, and the per-n identities up to
+    # 10**5. Above its limit every reader factors directly, to the same result.
+    sieve = arith.FactorSieve(max(min(int(params.x), 10**6), 100_000))
     return VerificationReport(checks=[fn(params, sieve) for fn in _CHECKS])

@@ -15,7 +15,7 @@ import pytest
 from quadprimes import (arith, congruence, lcmpsi, nagell, primes, stats,
                         sums)
 
-SIEVE = arith.shared_sieve(10**6 + 100)
+SIEVE = arith.FactorSieve(10**6 + 100)
 
 _CAPSYS = None
 
@@ -154,7 +154,7 @@ def test_criterion_10_composite_statistics():
     h = stats.omega_histogram(10**6, omegas[: 10**6 + 1])
     ok = h.total == 10**6
     ok = ok and 0.5 <= stats.landau_ratio(10**7, 2, omegas) <= 2.0
-    m = stats.high_omega_mass(10**6, 1, SIEVE, omegas[: 10**6 + 1])
+    m = stats.high_omega_mass(10**6, 1, omegas[: 10**6 + 1])
     ok = ok and m.within_bound
     _report(10, "composite-stats", ok, time.perf_counter() - t0, 120.0)
 

@@ -106,6 +106,19 @@ def test_is_prime_power():
     assert arith.is_prime_power((10**6 + 3) ** 2) == (10**6 + 3, 2)
 
 
+@pytest.mark.parametrize("limit", [48, 49, 50])
+def test_sieve_spf_around_prime_square(limit):
+    s = arith.FactorSieve(limit)
+    assert len(s.spf) == limit + 1
+    for n in range(2, limit + 1):
+        assert s.smallest_prime_factor(n) == arith.factorize(n).parts[0][0]
+
+
+def test_sieve_rejects_limit_beyond_int32():
+    with pytest.raises(ValueError):
+        arith.FactorSieve(2 ** 31)
+
+
 def test_sieve_spf_invariants():
     s = arith.FactorSieve(1000)
     for n in range(2, 1001):

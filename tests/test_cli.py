@@ -198,6 +198,23 @@ def test_integer_flag_rejects_inexact_value(command, flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_verify_with_huge_shift_prints_no_traceback():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "verify",
+                           "--d", "1000000000000", "--x", "1e3",
+                           "--prime-bound", "1e4", "--fi-x", "1e4",
+                           "--psi-n", "100"], capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_stats_beyond_omega_sieve_limit_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "stats",
+                           "--x", "1e15"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
 def test_rejected_integer_prints_no_traceback():
     proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
                            "--n", "1e100000000"], capture_output=True,

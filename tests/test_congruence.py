@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadprimes import arith, congruence
 
@@ -77,16 +78,26 @@ def test_squarefree_product_formula_d1():
 
 
 def test_rho_omega_bound():
-    rhos = congruence.rho_table(10_000, 1, SIEVE)
+    rhos = congruence.rho_table(10_000, 1)
     for q in range(1, 10_001):
         assert rhos[q] <= 2 ** (SIEVE.omega(q) + 2)
 
 
 def test_rho_table_matches_rho():
     for d in (1, 3, 28):
-        rhos = congruence.rho_table(2000, d, SIEVE)
+        rhos = congruence.rho_table(2000, d)
         for q in range(1, 2001):
             assert rhos[q] == congruence.rho(q, d, SIEVE)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(-100, 100), limit=st.integers(0, 3000))
+@example(d=0, limit=3000)
+def test_rho_table_matches_rho_property(d, limit):
+    rhos = congruence.rho_table(limit, d)
+    assert len(rhos) == limit + 1
+    for q in range(1, limit + 1):
+        assert rhos[q] == congruence.rho(q, d, SIEVE), q
 
 
 def test_odd_prime_counts():

@@ -55,7 +55,7 @@ def test_landau_ratio_k2_midscale():
 
 
 def test_high_omega_example():
-    m = stats.high_omega_mass(100, 1, SIEVE, OMEGAS[:101])
+    m = stats.high_omega_mass(100, 1, OMEGAS[:101])
     # log log 100 = 1.527...; omega(q) >= 2 qualifies, 64 moduli up to 100
     assert m.count == 64
     assert m.count_ceil == sum(1 for q in range(1, 101) if SIEVE.omega(q) > 2)
@@ -64,7 +64,7 @@ def test_high_omega_example():
 
 def test_high_omega_sums_match_direct():
     from quadprimes import congruence
-    m = stats.high_omega_mass(5000, 1, SIEVE, OMEGAS[:5001])
+    m = stats.high_omega_mass(5000, 1, OMEGAS[:5001])
     llx = math.log(math.log(5000))
     direct = sum(congruence.rho(q, 1, SIEVE)
                  for q in range(1, 5001) if SIEVE.omega(q) > llx)
@@ -74,14 +74,14 @@ def test_high_omega_sums_match_direct():
 
 
 def test_high_omega_bound_midscale():
-    m = stats.high_omega_mass(10**6, 1, SIEVE, OMEGAS)
+    m = stats.high_omega_mass(10**6, 1, OMEGAS)
     assert m.within_bound
     assert m.rho_sum <= m.bound
 
 
 def test_high_omega_rejects_small_x():
     with pytest.raises(ValueError):
-        stats.high_omega_mass(10, 1, SIEVE)
+        stats.high_omega_mass(10, 1)
 
 
 def test_low_omega_majority():

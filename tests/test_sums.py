@@ -5,7 +5,7 @@ import pytest
 
 from quadprimes import arith, congruence, sums
 
-SIEVE = arith.shared_sieve(10**6 + 100)
+SIEVE = arith.FactorSieve(10**6 + 100)
 
 
 def test_lhs_examples():
@@ -98,6 +98,12 @@ def test_mobius_log_progression_examples():
     assert sums.mobius_log_progression(5, 4, 1, SIEVE) == \
         pytest.approx(-math.log(5) / 5, rel=1e-12)
     assert sums.mobius_log_progression(1, 7, 1, SIEVE) == 0.0
+
+
+def test_mobius_log_progression_builds_its_own_sieve():
+    for x, q, a in ((1, 7, 1), (5, 4, 1), (5000, 7, 3), (10**4, 1, 1)):
+        assert sums.mobius_log_progression(x, q, a) == \
+            sums.mobius_log_progression(x, q, a, SIEVE)
 
 
 def test_mobius_log_progression_rejects_common_factor():

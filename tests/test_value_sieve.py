@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadprimes import arith, congruence, lcmpsi, primes, sums
 from quadprimes.congruence import ValueSieve
 
-SIEVE = arith.shared_sieve(10**6 + 100)
+SIEVE = arith.FactorSieve(10**6 + 100)
 
 
 def sieved_parts(sv: ValueSieve, size: int) -> list:
@@ -122,14 +122,6 @@ def test_largest_factors_match_factorize(d, n_max):
         assert lpf[n] == arith.factorize(n * n + d).largest_prime
 
 
-@settings(max_examples=15, deadline=None)
-@given(n_max=st.integers(1, 3000))
-def test_factor_structure_matches_factorize(n_max):
-    facs = lcmpsi._factor_structure(n_max)
-    for m in range(1, n_max + 1):
-        assert tuple(facs[m]) == arith.factorize(m * m + 1).parts
-
-
 def test_squarefree_divisors_match_arith():
     d = 7
     sv = ValueSieve.shift(1, 400, d)
@@ -187,12 +179,11 @@ def test_expansion_is_bit_identical_to_loop(x, d):
 
 def test_psi_trend_is_bit_identical_to_loop():
     n_max = 3000
-    facs = lcmpsi._factor_structure(n_max)
     best = {}
     running = 0.0
     want = [0.0]
     for m in range(1, n_max + 1):
-        for p, e in facs[m]:
+        for p, e in arith.factorize(m * m + 1).parts:
             prev = best.get(p, 0)
             if e > prev:
                 best[p] = e
@@ -202,7 +193,9 @@ def test_psi_trend_is_bit_identical_to_loop():
     assert tr.psi == tuple(want[n] for n in tr.ns)
 
 
-def test_dyadic_split_builds_no_spf_table():
-    arith.shared_sieve(100)
-    sums.dyadic_split(1e8, 1)
-    assert arith._SIEVE_CACHE.limit < 1e8
+def test_dyadic_split_builds_no_spf_table(monkeypatch):
+    def refuse(self, limit):
+        raise AssertionError(f"FactorSieve({limit}) built")
+
+    monkeypatch.setattr(arith.FactorSieve, "__init__", refuse)
+    sums.dyadic_split(1e6, 1)
