@@ -248,28 +248,18 @@ class FactorSieve:
         return math.log(p) if m == 1 else 0.0
 
 
-def _parts_of(n: int, sieve: FactorSieve | None) -> tuple:
-    if sieve is not None and n <= sieve.limit:
-        return sieve.factor(n).parts
-    return factorize(n).parts
-
-
-def mobius(n: int, sieve: FactorSieve | None = None) -> int:
+def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius requires n >= 1")
-    if sieve is not None and n <= sieve.limit:
-        return sieve.mobius(n)
     parts = factorize(n).parts
     if any(e > 1 for _, e in parts):
         return 0
     return -1 if len(parts) % 2 else 1
 
 
-def omega(n: int, sieve: FactorSieve | None = None) -> int:
+def omega(n: int) -> int:
     if n < 1:
         raise ValueError("omega requires n >= 1")
-    if sieve is not None and n <= sieve.limit:
-        return sieve.omega(n)
     return factorize(n).omega
 
 
@@ -297,39 +287,29 @@ def von_mangoldt(n: int, sieve: FactorSieve | None = None) -> float:
 def von_mangoldt_via_mobius(n: int, sieve: FactorSieve | None = None) -> float:
     """-sum over divisors q of n of mu(q) log q (inclusion-exclusion route).
 
-    Only squarefree divisors contribute; they are exactly the products of
-    subsets of the distinct prime divisors of n.
+    Only squarefree divisors contribute.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    primes = [p for p, _ in _parts_of(n, sieve)]
-    total = 0.0
-    for mask in range(1 << len(primes)):
-        q = 1
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                q *= primes[i]
-                bits += 1
-            m >>= 1
-            i += 1
-        total += (-1 if bits % 2 else 1) * math.log(q)
-    return -total
+    return -sum(mu * math.log(q) for q, mu in squarefree_divisors(n, sieve))
 
 
-def divisors(n: int, sieve: FactorSieve | None = None) -> list:
+def divisors(n: int) -> list:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in _parts_of(n, sieve):
+    for p, e in factorize(n).parts:
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
 
 def squarefree_divisors(n: int, sieve: FactorSieve | None = None) -> list:
-    """(q, mu(q)) for every squarefree divisor q of n."""
+    """(q, mu(q)) for every squarefree divisor q of n, that is every product
+    of a subset of its distinct primes."""
+    if sieve is not None and n <= sieve.limit:
+        parts = sieve.factor(n).parts
+    else:
+        parts = factorize(n).parts
     out = [(1, 1)]
-    for p, _ in _parts_of(n, sieve):
+    for p, _ in parts:
         out += [(q * p, -s) for q, s in out]
     return out

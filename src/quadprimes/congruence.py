@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, factorize, is_prime_u64, primes_up_to
+from .arith import factorize, is_prime_u64, primes_up_to
 
 _SCAN_CUTOFF = 64  # exhaustive residue scan below this prime; Tonelli-Shanks above
 _ROW_BLOCK = 1 << 18  # values per block of ValueSieve.quartic_rows
@@ -123,19 +123,15 @@ class RootSet:
         return len(self.roots)
 
 
-def roots_mod(q: int, d: int, sieve: FactorSieve | None = None) -> RootSet:
+def roots_mod(q: int, d: int) -> RootSet:
     """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q == 1:
         return RootSet(1, d, (0,))
-    if sieve is not None and q <= sieve.limit:
-        parts = sieve.factor(q).parts
-    else:
-        parts = factorize(q).parts
     residues = [0]
     mod = 1
-    for p, e in parts:
+    for p, e in factorize(q).parts:
         pe = p ** e
         local = _lift_prime_power(p, e, d)
         if not local:
@@ -152,9 +148,9 @@ def roots_mod(q: int, d: int, sieve: FactorSieve | None = None) -> RootSet:
     return RootSet(q, d, tuple(sorted(r % q for r in residues)))
 
 
-def rho(q: int, d: int, sieve: FactorSieve | None = None) -> int:
+def rho(q: int, d: int) -> int:
     """Number of solutions of n**2 + d = 0 (mod q) in [0, q)."""
-    return roots_mod(q, d, sieve).count
+    return roots_mod(q, d).count
 
 
 def roots_mod_scan(q: int, d: int) -> tuple:

@@ -26,10 +26,18 @@ def euler_gamma(n: int = 200) -> float:
             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
 
 
+# Largest n_max that _valuation_rises accepts. Its hit arrays take about
+# 300 B per n: the psi trend at this size peaks at 617 MiB RSS.
+PSI_N_LIMIT = 2 * 10**6
+
+
 def _valuation_rises(n_max: int):
     """(m, p, rise) for each prime p whose maximal valuation over
     1**2 + 1, ..., m**2 + 1 is larger than over the values before m, with the
-    rise in exponent; ordered by m, then p (the order psi_f(m) grows in)."""
+    rise in exponent; ordered by m, then p (the order psi_f(m) grows in).
+    n_max is at most PSI_N_LIMIT."""
+    if n_max > PSI_N_LIMIT:
+        raise ValueError(f"psi index bound {n_max} exceeds {PSI_N_LIMIT}")
     sv = ValueSieve.shift(1, n_max, 1)
     big = np.flatnonzero(sv.cofactor > 1)
     m = np.concatenate([sv.hit_index, big]) + 1

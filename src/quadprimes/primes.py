@@ -164,35 +164,17 @@ def prime_power_scan(n_max: int, d: int) -> list:
     if limit > _U64_MAX:
         raise OverflowError("n_max**2 + d exceeds 64 bits")
     hits = []
-
-    def check(p: int, nu: int, v: int):
-        t = v - d
-        if t >= 1:
-            n = math.isqrt(t)
-            if n * n == t and n <= n_max:
-                hits.append((n, p, nu))
-
-    # nu = 2: vectorized over all primes p <= sqrt(limit).
-    ps = primes_up_to(math.isqrt(limit))
-    if len(ps):
-        vals = ps.astype(np.int64) ** 2 - d
-        ok = vals >= 1
-        roots = np.zeros_like(vals)
-        roots[ok] = np.sqrt(vals[ok].astype(np.float64)).astype(np.int64)
-        for p, v, r in zip(ps[ok], vals[ok], roots[ok]):
-            for n in (int(r) - 1, int(r), int(r) + 1):
-                if n >= 1 and n <= n_max and n * n == int(v):
-                    hits.append((int(n), int(p), 2))
-    # nu >= 3: p <= limit**(1/3), tiny.
-    for p in primes_up_to(round(limit ** (1 / 3)) + 1):
-        p = int(p)
-        v = p ** 3
-        nu = 3
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        v, nu = p * p, 2
         while v <= limit:
-            check(p, nu, v)
+            t = v - d
+            if t >= 1:
+                n = math.isqrt(t)
+                if n * n == t and n <= n_max:
+                    hits.append((n, p, nu))
             v *= p
             nu += 1
-    return sorted(set(hits))
+    return sorted(hits)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ class CheckResult:
     reference: float | int | str | None
     tol: float | None
     status: str
-    ms: float  # wall clock; deliberately kept out of serialized reports
+    ms: float = 0.0  # wall clock; deliberately kept out of serialized reports
 
     def to_dict(self) -> dict:
         return {
@@ -60,7 +60,7 @@ class VerificationReport:
         for c in doc["checks"]:
             rep.checks.append(CheckResult(
                 c["id"], c["module"], c["inputs"], c["computed"],
-                c["reference"], c["tol"], c["status"], 0.0))
+                c["reference"], c["tol"], c["status"]))
         return rep
 
     def to_csv(self) -> str:

@@ -12,20 +12,33 @@ from .arith import primes_up_to
 from .congruence import rho_table
 
 
-# Largest limit omega_sieve accepts. At 10**8 its uint8 counts and the bool
-# mask and int64 primes of primes_up_to take about 0.25 GB together; an omega
-# histogram at that size peaks at 220 MiB RSS.
+# Largest limit omega_sieve accepts. At 10**8 an omega histogram peaks at
+# 238 MiB RSS (the uint8 counts, the bool mask and int64 primes of
+# primes_up_to, and one int64 index array per multiplier pass) and takes
+# about 6 s.
 OMEGA_SIEVE_LIMIT = 10**8
 
 
 def omega_sieve(limit: int) -> np.ndarray:
-    """omega(n) for all n in [0, limit] (omega(0) = omega(1) = 0), one strided
-    pass per prime; limit is at most OMEGA_SIEVE_LIMIT."""
+    """omega(n) for all n in [0, limit] (omega(0) = omega(1) = 0); limit is at
+    most OMEGA_SIEVE_LIMIT.
+
+    One strided pass per prime p <= sqrt(limit), then one pass per multiplier
+    m over the primes above sqrt(limit), which have few multiples each.
+    """
     if limit > OMEGA_SIEVE_LIMIT:
         raise ValueError(f"omega sieve limit {limit} exceeds {OMEGA_SIEVE_LIMIT}")
     counts = np.zeros(limit + 1, dtype=np.uint8)
-    for p in primes_up_to(limit):
+    ps = primes_up_to(limit)
+    small = np.searchsorted(ps, math.isqrt(limit), side="right")
+    for p in ps[:small].tolist():
         counts[p::p] += 1
+    big = ps[small:]
+    m = 1
+    while len(big):
+        counts[big * m] += 1  # distinct indices within one pass
+        m += 1
+        big = big[: np.searchsorted(big, limit // m, side="right")]
     return counts
 
 

@@ -137,15 +137,14 @@ class ProgressionSumResult:
     error_bound: float
 
 
-def progression_sum(x: float, q: int, d: int,
-                    sieve: FactorSieve | None = None) -> ProgressionSumResult:
+def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     """Sum of 1/(n sqrt(log n)) over n >= 2 with n**2 + d <= x and q | n**2 + d.
 
     Qualifying n are enumerated by stepping each root of the congruence by q.
     The estimate integrates the decreasing summand per residue class; the
     error bound is rho(q) times the first summand.
     """
-    rs = roots_mod(q, d, sieve)
+    rs = roots_mod(q, d)
     top = _n_limit(x, d)
     if not rs.roots or top < 2:
         return ProgressionSumResult(q, d, 0.0, 0.0, (), 0.0)
@@ -179,16 +178,15 @@ def qualifying_n_by_trial(x: float, q: int, d: int) -> list:
     return [n for n in range(2, top + 1) if (n * n + d) % q == 0]
 
 
-def mobius_log_progression(x: float, q: int, a: int,
-                           sieve: FactorSieve | None = None) -> float:
-    """Empirical partial sum of mu(n) log(n) / n over n <= x, n = a (mod q)."""
+def mobius_log_progression(x: float, q: int, a: int) -> float:
+    """Empirical partial sum of mu(n) log(n) / n over n <= x, n = a (mod q),
+    with mu from a smallest-prime-factor table up to x."""
     if math.gcd(a, q) > 1:
         raise ValueError("requires gcd(a, q) = 1")
     top = int(x)
     if top < 1:
         return 0.0
-    if sieve is None:
-        sieve = FactorSieve(max(top, 2))
+    sieve = FactorSieve(max(top, 2))
     total = 0.0
     start = a % q if a % q else q
     for n in range(start, top + 1, q):
@@ -200,12 +198,11 @@ def mobius_log_progression(x: float, q: int, a: int,
     return total
 
 
-def dirichlet_partial(s: float, n_terms: int, d: int,
-                      sieve: FactorSieve | None = None) -> float:
+def dirichlet_partial(s: float, n_terms: int, d: int) -> float:
     """Sum of Lambda(n**2 + d) * n**(-s) for 1 <= n <= n_terms."""
     total = 0.0
     for n in range(1, n_terms + 1):
-        lam = von_mangoldt(n * n + d, sieve)
+        lam = von_mangoldt(n * n + d)
         if lam:
             total += lam * n ** (-s)
     return total

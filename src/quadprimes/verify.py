@@ -2,9 +2,9 @@
 
 Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
-Checks are pure functions of the suite parameters plus the suite's own
-smallest-prime-factor table, run one after another in a single process, so the
-report is deterministic.
+Each check is a pure function of the suite parameters alone, and the two
+per-n identity checks build their own smallest-prime-factor tables. The checks
+run one after another in a single process, so the report is deterministic.
 """
 
 from __future__ import annotations
@@ -30,46 +30,43 @@ class SuiteParams:
     psi_n: int = 20_000
 
 
-def _result(check_id, module, inputs, computed, reference, tol, passed, t0):
-    ms = (time.perf_counter() - t0) * 1000.0
+def _result(check_id, module, inputs, computed, reference, tol, passed):
     return CheckResult(check_id, module, inputs, computed, reference, tol,
-                       PASS if passed else FAIL, ms)
+                       PASS if passed else FAIL)
 
 
-def _check_mobius_von_mangoldt(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_mobius_von_mangoldt(p: SuiteParams) -> CheckResult:
     top = min(int(p.x), 100_000)
+    sieve = arith.FactorSieve(top)
     worst = 0.0
     for n in range(1, top + 1):
         worst = max(worst, abs(arith.von_mangoldt_via_mobius(n, sieve)
                                - arith.von_mangoldt(n, sieve)))
     return _result("mobius-von-mangoldt-identity", "arith_core",
-                   {"n_max": top}, worst, 0.0, 1e-9, worst <= 1e-9, t0)
+                   {"n_max": top}, worst, 0.0, 1e-9, worst <= 1e-9)
 
 
-def _check_mobius_divisor_sum(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_mobius_divisor_sum(p: SuiteParams) -> CheckResult:
+    sieve = arith.FactorSieve(10_000)
     bad = 0
     for n in range(1, 10_001):
         s = sum(mu for _, mu in arith.squarefree_divisors(n, sieve))
         if s != (1 if n == 1 else 0):
             bad += 1
     return _result("mobius-divisor-sum", "arith_core", {"n_max": 10_000},
-                   bad, 0, 0.0, bad == 0, t0)
+                   bad, 0, 0.0, bad == 0)
 
 
-def _check_roots_vs_scan(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_roots_vs_scan(p: SuiteParams) -> CheckResult:
     bad = 0
     for q in range(1, 2001):
-        if congruence.roots_mod(q, p.d, sieve).roots != congruence.roots_mod_scan(q, p.d):
+        if congruence.roots_mod(q, p.d).roots != congruence.roots_mod_scan(q, p.d):
             bad += 1
     return _result("roots-vs-scan", "quad_congruence",
-                   {"q_max": 2000, "d": p.d}, bad, 0, 0.0, bad == 0, t0)
+                   {"q_max": 2000, "d": p.d}, bad, 0, 0.0, bad == 0)
 
 
-def _check_rho_multiplicative(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_rho_multiplicative(p: SuiteParams) -> CheckResult:
     rng = random.Random(20_260_823)
     bad = 0
     pairs = 0
@@ -79,34 +76,31 @@ def _check_rho_multiplicative(p: SuiteParams, sieve):
         if math.gcd(a, b) != 1:
             continue
         pairs += 1
-        if congruence.rho(a * b, p.d, sieve) != (
-                congruence.rho(a, p.d, sieve) * congruence.rho(b, p.d, sieve)):
+        if congruence.rho(a * b, p.d) != (
+                congruence.rho(a, p.d) * congruence.rho(b, p.d)):
             bad += 1
     return _result("rho-multiplicative", "quad_congruence",
-                   {"pairs": 1000, "d": p.d}, bad, 0, 0.0, bad == 0, t0)
+                   {"pairs": 1000, "d": p.d}, bad, 0, 0.0, bad == 0)
 
 
-def _check_rho_omega_bound(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_rho_omega_bound(p: SuiteParams) -> CheckResult:
     top = min(int(p.x), 100_000)
     rhos = congruence.rho_table(top, p.d)[1:]
     omegas = stats.omega_sieve(top)[1:].astype(np.int64)
     bad = int((rhos > 2 ** (omegas + 2)).sum())
     return _result("rho-omega-bound", "quad_congruence",
-                   {"q_max": top, "d": p.d}, bad, 0, 0.0, bad == 0, t0)
+                   {"q_max": top, "d": p.d}, bad, 0, 0.0, bad == 0)
 
 
-def _check_central_identity(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
-    lhs = sums.lhs_sum(p.x, p.d, 0.5, sieve)
+def _check_central_identity(p: SuiteParams) -> CheckResult:
+    lhs = sums.lhs_sum(p.x, p.d)
     rhs = sums.rhs_mobius_expansion(p.x, p.d)
     rel = abs(lhs - rhs) / max(1.0, abs(lhs))
     return _result("central-identity", "weighted_sums",
-                   {"x": p.x, "d": p.d}, rel, 0.0, 1e-9, rel <= 1e-9, t0)
+                   {"x": p.x, "d": p.d}, rel, 0.0, 1e-9, rel <= 1e-9)
 
 
-def _check_dyadic_partition(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_dyadic_partition(p: SuiteParams) -> CheckResult:
     dec = sums.dyadic_split(p.x, p.d, p.epsilon)
     # canonical summation order: large = low + high, total = small + large
     recomb = dec.small_part + (dec.large_low_omega + dec.large_high_omega)
@@ -115,52 +109,48 @@ def _check_dyadic_partition(p: SuiteParams, sieve):
     ok = diff == 0.0 and rel <= 1e-9
     return _result("dyadic-partition", "weighted_sums",
                    {"x": p.x, "d": p.d, "epsilon": p.epsilon},
-                   rel, 0.0, 1e-9, ok, t0)
+                   rel, 0.0, 1e-9, ok)
 
 
-def _check_progression_bound(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_progression_bound(p: SuiteParams) -> CheckResult:
     rng = random.Random(11)
     x = min(p.x, 1e6)
     bad = 0
     for _ in range(100):
         q = rng.randrange(2, 1001)
-        r = sums.progression_sum(x, q, p.d, sieve)
+        r = sums.progression_sum(x, q, p.d)
         if abs(r.direct - r.estimate) > r.error_bound:
             bad += 1
     return _result("progression-estimate-bound", "weighted_sums",
-                   {"x": x, "d": p.d, "samples": 100}, bad, 0, 0.0, bad == 0, t0)
+                   {"x": x, "d": p.d, "samples": 100}, bad, 0, 0.0, bad == 0)
 
 
-def _check_lhs_growth(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
-    ratio = sums.lhs_sum(p.x, 1, 0.5, sieve) / math.sqrt(math.log(p.x))
+def _check_lhs_growth(p: SuiteParams) -> CheckResult:
+    ratio = sums.lhs_sum(p.x, 1) / math.sqrt(math.log(p.x))
     return _result("lhs-growth", "weighted_sums", {"x": p.x, "d": 1},
-                   ratio, 1.37, 3.63, 0.5 <= ratio <= 5.0, t0)
+                   ratio, 1.37, 3.63, 0.5 <= ratio <= 5.0)
 
 
 _PRIME_LIST_10K = (2, 5, 17, 37, 101, 197, 257, 401, 577, 677, 1297, 1601,
                    2917, 3137, 4357, 5477, 7057, 8101, 8837)
 
 
-def _check_prime_list(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_prime_list(p: SuiteParams) -> CheckResult:
     qp = primes.quadratic_primes(99, 1)
     ok = qp.primes == _PRIME_LIST_10K and primes.pi_f(10_000, 1) == 19
     return _result("quadratic-prime-list", "prime_counts",
-                   {"x": 10_000, "d": 1}, len(qp.primes), 19, 0.0, ok, t0)
+                   {"x": 10_000, "d": 1}, len(qp.primes), 19, 0.0, ok)
 
 
 _REQUIRED_TWINS = ((101, 103), (197, 199), (5477, 5479), (8837, 8839))
 
 
-def _check_twin_pairs(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_twin_pairs(p: SuiteParams) -> CheckResult:
     found = set(primes.twin_quadratic_pairs(100))
     hits = sum(1 for t in _REQUIRED_TWINS if t in found)
     return _result("twin-pairs", "prime_counts", {"n_max": 100},
                    hits, len(_REQUIRED_TWINS), 0.0,
-                   hits == len(_REQUIRED_TWINS), t0)
+                   hits == len(_REQUIRED_TWINS))
 
 
 # [BS06] solution set for d = 28 (the exponent of the x = 10 entry is 7:
@@ -169,25 +159,22 @@ NAGELL_D28 = frozenset({(6, 4, 3), (22, 8, 3), (225, 37, 3), (2, 2, 5),
                         (6, 2, 6), (10, 2, 7), (22, 2, 9), (362, 2, 17)})
 
 
-def _check_nagell_d28(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_nagell_d28(p: SuiteParams) -> CheckResult:
     sols = {(s.x, s.y, s.n) for s in nagell.lebesgue_nagell_solve(28, 10**6)}
     ok = sols == NAGELL_D28 and all(
         x * x + 28 == y ** n for x, y, n in sols)
     return _result("nagell-d28", "diophantine", {"d": 28, "x_max": 10**6},
-                   len(sols), 8, 0.0, ok, t0)
+                   len(sols), 8, 0.0, ok)
 
 
-def _check_nagell_empty(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_nagell_empty(p: SuiteParams) -> CheckResult:
     total = len(nagell.lebesgue_nagell_solve(1, 10**6)) + \
         len(nagell.lebesgue_nagell_solve(3, 10**6))
     return _result("nagell-empty", "diophantine",
-                   {"d": [1, 3], "x_max": 10**6}, total, 0, 0.0, total == 0, t0)
+                   {"d": [1, 3], "x_max": 10**6}, total, 0, 0.0, total == 0)
 
 
-def _check_nagell_oracle(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_nagell_oracle(p: SuiteParams) -> CheckResult:
     bad = 0
     for d in range(1, 101):
         a = [(s.x, s.y, s.n) for s in nagell.lebesgue_nagell_solve(d, 1000)]
@@ -196,108 +183,96 @@ def _check_nagell_oracle(p: SuiteParams, sieve):
             bad += 1
     return _result("nagell-small-box-oracle", "diophantine",
                    {"d_range": [1, 100], "x_max": 1000}, bad, 0, 0.0,
-                   bad == 0, t0)
+                   bad == 0)
 
 
-def _check_prime_power_empty(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_prime_power_empty(p: SuiteParams) -> CheckResult:
     hits = primes.prime_power_scan(10**6, 1)
     return _result("prime-power-empty", "prime_counts",
                    {"n_max": 10**6, "d": 1}, len(hits), 0, 0.0,
-                   len(hits) == 0, t0)
+                   len(hits) == 0)
 
 
-def _check_consecutive_powers(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_consecutive_powers(p: SuiteParams) -> CheckResult:
     _, pairs = nagell.consecutive_powers(10**6)
     ok = pairs == [(8, 9)]
     return _result("consecutive-powers", "diophantine", {"limit": 10**6},
-                   len(pairs), 1, 0.0, ok, t0)
+                   len(pairs), 1, 0.0, ok)
 
 
-def _check_hardy_littlewood(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_hardy_littlewood(p: SuiteParams) -> CheckResult:
     est = primes.hardy_littlewood_constant(1, p.prime_bound)
     diff = abs(est.averaged - primes.HL_CONSTANT_D1)
     return _result("hardy-littlewood-constant", "prime_counts",
                    {"d": 1, "prime_bound": p.prime_bound},
-                   est.averaged, primes.HL_CONSTANT_D1, 0.02, diff <= 0.02, t0)
+                   est.averaged, primes.HL_CONSTANT_D1, 0.02, diff <= 0.02)
 
 
-def _check_b_constant(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_b_constant(p: SuiteParams) -> CheckResult:
     est = lcmpsi.B_constant(p.prime_bound)
     diff = abs(est.averaged - primes.B_CONSTANT_REF)
     return _result("b-constant", "lcm_psi", {"prime_bound": p.prime_bound},
-                   est.averaged, primes.B_CONSTANT_REF, 0.01, diff <= 0.01, t0)
+                   est.averaged, primes.B_CONSTANT_REF, 0.01, diff <= 0.01)
 
 
-def _check_kappa(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_kappa(p: SuiteParams) -> CheckResult:
     kq = primes.kappa_quadrature()
     kg = primes.kappa_gamma()
     diff = abs(kq - kg)
     return _result("kappa-agreement", "prime_counts", {}, kq, kg, 1e-8,
-                   diff <= 1e-8, t0)
+                   diff <= 1e-8)
 
 
-def _check_fouvry_iwaniec(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_fouvry_iwaniec(p: SuiteParams) -> CheckResult:
     fi = primes.fouvry_iwaniec_sum(p.fi_x)
     ok = 0.8 <= fi.ratio <= 1.2
     return _result("fouvry-iwaniec-ratio", "prime_counts", {"x": p.fi_x},
-                   fi.ratio, 1.0, 0.2, ok, t0)
+                   fi.ratio, 1.0, 0.2, ok)
 
 
-def _check_psi_vs_lcm(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_psi_vs_lcm(p: SuiteParams) -> CheckResult:
     worst = 0.0
     for n in range(1, 301):
         a = lcmpsi.psi_f(n)
         b = lcmpsi.psi_f_direct(n)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return _result("psi-valuation-vs-lcm", "lcm_psi", {"n_max": 300},
-                   worst, 0.0, 1e-9, worst <= 1e-9, t0)
+                   worst, 0.0, 1e-9, worst <= 1e-9)
 
 
-def _check_psi_slope(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_psi_slope(p: SuiteParams) -> CheckResult:
     tr = lcmpsi.psi_residual_trend(p.psi_n)
     diff = abs(tr.fitted_slope - (-0.06628))
     return _result("psi-slope", "lcm_psi", {"n_max": p.psi_n},
-                   tr.fitted_slope, -0.06628, 0.01, diff <= 0.01, t0)
+                   tr.fitted_slope, -0.06628, 0.01, diff <= 0.01)
 
 
-def _check_lpf_exponent(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_lpf_exponent(p: SuiteParams) -> CheckResult:
     rec = primes.largest_prime_factor_records(10_000, 1)
     best = max(e for _, _, e in rec.records)
     return _result("lpf-exponent", "prime_counts", {"n_max": 10_000, "d": 1},
-                   best, 1.2, 0.0, best >= 1.2, t0)
+                   best, 1.2, 0.0, best >= 1.2)
 
 
-def _check_omega_partition(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_omega_partition(p: SuiteParams) -> CheckResult:
     x = max(16, min(int(p.x), 10**6))
     h = stats.omega_histogram(x)
     return _result("omega-partition", "composite_stats", {"x": x},
-                   h.total, x, 0.0, h.total == x, t0)
+                   h.total, x, 0.0, h.total == x)
 
 
-def _check_landau_ratio(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_landau_ratio(p: SuiteParams) -> CheckResult:
     x = max(16, min(int(p.x) * 10, 10**7))
     ratio = stats.landau_ratio(x, 2)
     return _result("landau-ratio", "composite_stats", {"x": x, "k": 2},
-                   ratio, 1.0, 1.0, 0.5 <= ratio <= 2.0, t0)
+                   ratio, 1.0, 1.0, 0.5 <= ratio <= 2.0)
 
 
-def _check_high_omega_mass(p: SuiteParams, sieve):
-    t0 = time.perf_counter()
+def _check_high_omega_mass(p: SuiteParams) -> CheckResult:
     x = max(16, min(int(p.x), 10**6))
     hm = stats.high_omega_mass(x, p.d)
     return _result("high-omega-mass", "composite_stats", {"x": x, "d": p.d},
-                   hm.rho_sum, hm.bound, 0.0, hm.within_bound, t0)
+                   hm.rho_sum, hm.bound, 0.0, hm.within_bound)
 
 
 _CHECKS = (
@@ -331,10 +306,18 @@ _CHECKS = (
 
 
 def run_suite(params: SuiteParams) -> VerificationReport:
-    """Run every check in definition order; the report content is a function
-    of ``params`` alone (timings aside)."""
-    # Sized from x alone, for the checks that read it: the values
-    # n**2 + d <= x of lhs_sum up to 10**6, and the per-n identities up to
-    # 10**5. Above its limit every reader factors directly, to the same result.
-    sieve = arith.FactorSieve(max(min(int(params.x), 10**6), 100_000))
-    return VerificationReport(checks=[fn(params, sieve) for fn in _CHECKS])
+    """Run every check in definition order and time each call; the report
+    content is a function of ``params`` alone (timings aside).
+
+    Rejects x < 2 with ValueError before any check runs: the checks divide by
+    sqrt(log x) and factor n up to x.
+    """
+    if params.x < 2:
+        raise ValueError(f"verify requires x >= 2, got {params.x!r}")
+    checks = []
+    for fn in _CHECKS:
+        t0 = time.perf_counter()
+        result = fn(params)
+        result.ms = (time.perf_counter() - t0) * 1000.0
+        checks.append(result)
+    return VerificationReport(checks=checks)

@@ -56,7 +56,7 @@ def test_criterion_02_root_sets():
     ok = True
     for d in (1, 2, 3, 28, 100):
         for q in range(1, 10**4 + 1):
-            if congruence.roots_mod(q, d, SIEVE).roots \
+            if congruence.roots_mod(q, d).roots \
                     != congruence.roots_mod_scan(q, d):
                 ok = False
                 break
@@ -67,8 +67,8 @@ def test_criterion_02_root_sets():
         if math.gcd(a, b) != 1:
             continue
         done += 1
-        if congruence.rho(a * b, 1, SIEVE) != \
-                congruence.rho(a, 1, SIEVE) * congruence.rho(b, 1, SIEVE):
+        if congruence.rho(a * b, 1) != \
+                congruence.rho(a, 1) * congruence.rho(b, 1):
             ok = False
     _report(2, "root-sets", ok, time.perf_counter() - t0, 30.0)
 

@@ -62,7 +62,7 @@ def test_mobius_divisor_sum_vanishes():
 
 def test_von_mangoldt_divisor_sum_is_log():
     for n in range(2, 20_001):
-        s = sum(arith.von_mangoldt(d, SIEVE) for d in arith.divisors(n, SIEVE))
+        s = sum(arith.von_mangoldt(d, SIEVE) for d in arith.divisors(n))
         assert abs(s - math.log(n)) <= 1e-9
 
 

@@ -222,3 +222,19 @@ def test_rejected_integer_prints_no_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "argument --n" in proc.stderr
+
+
+def test_verify_below_x_2_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "verify",
+                           "--x", "1"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_psi_beyond_psi_n_limit_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "psi",
+                           "--n", "2000001"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

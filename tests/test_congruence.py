@@ -48,7 +48,7 @@ def test_rho_examples():
 def test_roots_match_scan_sample():
     for d in (1, 2, 3, 28, 100):
         for q in list(range(1, 300)) + [512, 1024, 2187, 5000, 9973]:
-            assert congruence.roots_mod(q, d, SIEVE).roots == \
+            assert congruence.roots_mod(q, d).roots == \
                 congruence.roots_mod_scan(q, d)
 
 
@@ -60,8 +60,8 @@ def test_rho_multiplicative():
         if math.gcd(a, b) != 1:
             continue
         done += 1
-        assert congruence.rho(a * b, 1, SIEVE) == \
-            congruence.rho(a, 1, SIEVE) * congruence.rho(b, 1, SIEVE)
+        assert congruence.rho(a * b, 1) == \
+            congruence.rho(a, 1) * congruence.rho(b, 1)
 
 
 def test_squarefree_product_formula_d1():
@@ -74,7 +74,7 @@ def test_squarefree_product_formula_d1():
             expected = 2 ** len(parts)
         else:
             expected = 0
-        assert congruence.rho(q, 1, SIEVE) == expected
+        assert congruence.rho(q, 1) == expected
 
 
 def test_rho_omega_bound():
@@ -87,7 +87,7 @@ def test_rho_table_matches_rho():
     for d in (1, 3, 28):
         rhos = congruence.rho_table(2000, d)
         for q in range(1, 2001):
-            assert rhos[q] == congruence.rho(q, d, SIEVE)
+            assert rhos[q] == congruence.rho(q, d)
 
 
 @settings(max_examples=15, deadline=None)
@@ -97,7 +97,7 @@ def test_rho_table_matches_rho_property(d, limit):
     rhos = congruence.rho_table(limit, d)
     assert len(rhos) == limit + 1
     for q in range(1, limit + 1):
-        assert rhos[q] == congruence.rho(q, d, SIEVE), q
+        assert rhos[q] == congruence.rho(q, d), q
 
 
 def test_odd_prime_counts():

@@ -14,6 +14,13 @@ def test_omega_sieve_matches_factorization():
         assert OMEGAS[n] == SIEVE.omega(n)
 
 
+@pytest.mark.parametrize("limit", [48, 49, 50, 10**4, 10**4 + 1])
+def test_omega_sieve_whole_table_around_prime_square(limit):
+    s = arith.FactorSieve(limit)
+    assert stats.omega_sieve(limit).tolist() == \
+        [s.omega(n) for n in range(limit + 1)]
+
+
 def test_histogram_small():
     h = stats.omega_histogram(10)
     # 1 -> k=0; primes and prime powers 2..9 -> k=1; 6, 10 -> k=2
@@ -66,7 +73,7 @@ def test_high_omega_sums_match_direct():
     from quadprimes import congruence
     m = stats.high_omega_mass(5000, 1, OMEGAS[:5001])
     llx = math.log(math.log(5000))
-    direct = sum(congruence.rho(q, 1, SIEVE)
+    direct = sum(congruence.rho(q, 1)
                  for q in range(1, 5001) if SIEVE.omega(q) > llx)
     assert m.rho_sum == direct
     assert m.count_ceil <= m.count

@@ -58,14 +58,14 @@ def test_dyadic_large_part_small_at_1e6():
 
 
 def test_progression_sum_example():
-    r = sums.progression_sum(100, 5, 1, SIEVE)
+    r = sums.progression_sum(100, 5, 1)
     expected = sum(1.0 / (n * math.sqrt(math.log(n))) for n in (2, 3, 7, 8))
     assert r.direct == pytest.approx(expected, rel=1e-12)
     assert r.direct == pytest.approx(1.10777, abs=1e-4)
 
 
 def test_progression_sum_empty_rootset():
-    r = sums.progression_sum(100, 3, 1, SIEVE)
+    r = sums.progression_sum(100, 3, 1)
     assert r.direct == 0.0 and r.estimate == 0.0 and r.error_bound == 0.0
 
 
@@ -74,16 +74,16 @@ def test_progression_estimate_within_bound():
     checked = 0
     while checked < 200:
         q = rng.randrange(2, 1001)
-        if congruence.rho(q, 1, SIEVE) == 0:
+        if congruence.rho(q, 1) == 0:
             continue
         checked += 1
-        r = sums.progression_sum(10**6, q, 1, SIEVE)
+        r = sums.progression_sum(10**6, q, 1)
         assert abs(r.direct - r.estimate) <= r.error_bound, q
 
 
 def test_root_stepping_equals_trial_filter():
     for q in range(1, 1001):
-        rs = congruence.roots_mod(q, 1, SIEVE)
+        rs = congruence.roots_mod(q, 1)
         top = math.isqrt(10**6 - 1)
         stepped = sorted(
             n
@@ -95,31 +95,32 @@ def test_root_stepping_equals_trial_filter():
 
 def test_mobius_log_progression_examples():
     # only n = 5 contributes: mu(5) log(5) / 5, negative since mu(5) = -1
-    assert sums.mobius_log_progression(5, 4, 1, SIEVE) == \
+    assert sums.mobius_log_progression(5, 4, 1) == \
         pytest.approx(-math.log(5) / 5, rel=1e-12)
-    assert sums.mobius_log_progression(1, 7, 1, SIEVE) == 0.0
+    assert sums.mobius_log_progression(1, 7, 1) == 0.0
 
 
 def test_mobius_log_progression_builds_its_own_sieve():
     for x, q, a in ((1, 7, 1), (5, 4, 1), (5000, 7, 3), (10**4, 1, 1)):
         assert sums.mobius_log_progression(x, q, a) == \
-            sums.mobius_log_progression(x, q, a, SIEVE)
+            sum(arith.mobius(n) * math.log(n) / n
+                for n in range(2, x + 1) if n % q == a % q)
 
 
 def test_mobius_log_progression_rejects_common_factor():
     with pytest.raises(ValueError):
-        sums.mobius_log_progression(100, 6, 3, SIEVE)
+        sums.mobius_log_progression(100, 6, 3)
 
 
 def test_mobius_log_progression_bounded():
-    v = sums.mobius_log_progression(10**6, 1, 1, SIEVE)
+    v = sums.mobius_log_progression(10**6, 1, 1)
     assert -2.0 <= v <= 2.0
 
 
 def test_dirichlet_partial_examples():
     expected = math.log(2) + math.log(5) / 2 + math.log(17) / 4 + \
         math.log(37) / 6 + math.log(101) / 10
-    assert sums.dirichlet_partial(1, 10, 1, SIEVE) == \
+    assert sums.dirichlet_partial(1, 10, 1) == \
         pytest.approx(expected, rel=1e-12)
     assert sums.dirichlet_partial(1, 0, 1) == 0.0
 
