@@ -13,8 +13,8 @@ from .primes import (ConstantEstimate, QuadraticPrimeList, fouvry_iwaniec_sum,
                      twin_quadratic_pairs)
 from .stats import OmegaHistogram, high_omega_mass, landau_ratio, pi_k
 from .sums import (ProgressionSumResult, SumDecomposition, dirichlet_partial,
-                   dyadic_split, lhs_sum, mobius_log_progression,
-                   progression_sum, rhs_mobius_expansion)
+                   dyadic_split, lhs_sum, progression_sum,
+                   rhs_mobius_expansion)
 from .verify import SuiteParams, run_suite
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import numpy as np
 
 from .arith import factorize, is_prime_u64, primes_up_to
 
-_SCAN_CUTOFF = 64  # exhaustive residue scan below this prime; Tonelli-Shanks above
 _ROW_BLOCK = 1 << 18  # values per block of ValueSieve.quartic_rows
 
 
@@ -44,8 +43,6 @@ def sqrt_mod_prime(a: int, p: int) -> list:
         return [a]
     if a == 0:
         return [0]
-    if p < _SCAN_CUTOFF:
-        return [z for z in range(p) if z * z % p == a]
     if legendre(a, p) != 1:
         return []
     if p % 4 == 3:
@@ -189,11 +186,13 @@ def rho_table(limit: int, d: int) -> np.ndarray:
     return out
 
 
-def _progressions(first: np.ndarray, count: np.ndarray, step: int) -> np.ndarray:
-    """Concatenation of first[j] + step * arange(count[j]) over every j."""
-    ends = np.cumsum(count)
-    return (np.repeat(first - step * (ends - count), count)
-            + step * np.arange(ends[-1], dtype=np.int64))
+def _progressions(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
+    """Concatenation of first[j] + step[j] * arange(count[j]) over every j;
+    step is an array like first, or one int for every j."""
+    start = np.cumsum(count) - count
+    each = np.repeat(step, count) if np.ndim(step) else step
+    return (np.repeat(first - step * start, count)
+            + each * np.arange(count.sum(), dtype=np.int64))
 
 
 class ValueSieve:
@@ -260,16 +259,19 @@ class ValueSieve:
         if n_lo * n_lo + d < 1:
             raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        size = len(n)
-
-        def hits():
-            for p in primes_up_to(math.isqrt(n_hi * n_hi + d)).tolist():
-                roots = sqrt_mod_prime(-d % p, p)
-                if roots:
-                    yield p, np.concatenate(
-                        [np.arange((r - n_lo) % p, size, p) for r in roots])
-
-        return cls(n * n + d, hits())
+        ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
+        roots = [sqrt_mod_prime(-d % p, p) for p in ps.tolist()]
+        rho = np.array([len(r) for r in roots], dtype=np.int64)
+        # one progression of positions per root, every prime at once
+        step = np.repeat(ps, rho)
+        first = (np.array([r for rs in roots for r in rs], dtype=np.int64)
+                 - n_lo) % step
+        count = (len(n) - 1 - first) // step + 1
+        at = _progressions(first, count, step)
+        # the positions prime i hits are at[cut[i] : cut[i + 1]]
+        cut = np.r_[0, np.cumsum(count)][np.r_[0, np.cumsum(rho)]].tolist()
+        return cls(n * n + d, ((p, at[a:b]) for p, a, b
+                               in zip(ps.tolist(), cut, cut[1:]) if a < b))
 
     @classmethod
     def quartic_rows(cls, x: int):

@@ -14,12 +14,16 @@ import numpy as np
 
 from .arith import is_prime_u64, primes_up_to
 from .congruence import ValueSieve, roots_mod
-from .primes import B_CONSTANT_REF, ConstantEstimate
+from .primes import (B_CONSTANT_REF, ConstantEstimate, _character_values,
+                     _tail_averaged)
+
+_TREND_POINTS = 24  # geometric sample points of psi_residual_trend
 
 
-def euler_gamma(n: int = 200) -> float:
-    """Euler-Mascheroni constant via Euler-Maclaurin on the harmonic sum;
-    accurate to well beyond 12 digits already at n = 50."""
+def euler_gamma() -> float:
+    """Euler-Mascheroni constant via Euler-Maclaurin on the harmonic sum of
+    200 terms; accurate to well beyond 12 digits already at 50."""
+    n = 200
     h = sum(1.0 / k for k in range(1, n + 1))
     n2 = float(n) * n
     return (h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n2)
@@ -121,16 +125,10 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
     base = euler_gamma() - 1.0 - math.log(2.0) / 2.0
     ps = primes_up_to(prime_bound)
     ps = ps[ps >= 3]
-    if len(ps) == 0:
-        return ConstantEstimate("B", prime_bound, base, base, B_CONSTANT_REF)
-    chi = np.where(ps % 4 == 1, 1.0, -1.0)
+    chi = _character_values(1, ps)
     terms = chi * np.log(ps.astype(np.float64)) / (ps.astype(np.float64) - 1.0)
     running = base - np.cumsum(terms)
-    tail = running[ps > prime_bound // 2]
-    if len(tail) == 0:
-        tail = running[-1:]
-    return ConstantEstimate("B", prime_bound, float(running[-1]),
-                            float(tail.mean()), B_CONSTANT_REF)
+    return _tail_averaged("B", prime_bound, ps, running, base, B_CONSTANT_REF)
 
 
 @dataclass(frozen=True)
@@ -144,15 +142,15 @@ class PsiTrace:
     fitted_slope: float
 
 
-def psi_residual_trend(n_max: int, samples: int = 24,
-                       B_used: float = B_CONSTANT_REF) -> PsiTrace:
-    """Trace psi_f at geometric n points up to n_max; report residuals and a
+def psi_residual_trend(n_max: int) -> PsiTrace:
+    """Trace psi_f at _TREND_POINTS geometric n points up to n_max; report
+    residuals against n log n + B n with B = B_CONSTANT_REF, and a
     least-squares slope of psi_f(n) - n log n over the top half of [1, n_max]
     (an independent estimate of the linear coefficient)."""
     if n_max < 100:
         raise ValueError("psi_residual_trend requires n_max >= 100")
-    pts = sorted({int(round(100 * (n_max / 100) ** (i / (samples - 1))))
-                  for i in range(samples)})
+    pts = sorted({int(round(100 * (n_max / 100) ** (i / (_TREND_POINTS - 1))))
+                  for i in range(_TREND_POINTS)})
     m, p, rise = _valuation_rises(n_max)
     running = 0.0
     after = []
@@ -164,9 +162,9 @@ def psi_residual_trend(n_max: int, samples: int = 24,
     psi_all = np.array([0.0] + after)[last + 1]
     ns = np.array(pts, dtype=np.float64)
     psi = psi_all[pts]
-    residuals = psi - ns * np.log(ns) - B_used * ns
+    residuals = psi - ns * np.log(ns) - B_CONSTANT_REF * ns
     fit_n = np.arange(n_max // 2, n_max + 1, dtype=np.float64)
     fit_y = psi_all[n_max // 2 :] - fit_n * np.log(fit_n)
     slope = float(np.polyfit(fit_n, fit_y, 1)[0])
     return PsiTrace(tuple(pts), tuple(float(v) for v in psi),
-                    tuple(float(v) for v in residuals), B_used, slope)
+                    tuple(float(v) for v in residuals), B_CONSTANT_REF, slope)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+EXPONENT_MAX = 64  # largest n the solvers try in x**2 + d = y**n
+
 
 @dataclass(frozen=True)
 class NagellSolution:
@@ -18,9 +20,9 @@ class NagellSolution:
         return self.x ** 2 + self.shift == self.y ** self.n
 
 
-def lebesgue_nagell_solve(d: int, x_max: int, n_max: int = 64) -> list:
+def lebesgue_nagell_solve(d: int, x_max: int) -> list:
     """All solutions of x**2 + d = y**n with 1 <= x <= x_max, y >= 2,
-    3 <= n <= n_max, found by iterating (y, n) and testing y**n - d for a
+    3 <= n <= EXPONENT_MAX, found by iterating (y, n) and testing y**n - d for a
     perfect square. Sorted by (n, y, x)."""
     if not 1 <= d <= 100:
         raise ValueError("d must lie in 1..100")
@@ -33,7 +35,7 @@ def lebesgue_nagell_solve(d: int, x_max: int, n_max: int = 64) -> list:
         v = y ** 3
         n = 3
         while v <= limit:
-            if n <= n_max:
+            if n <= EXPONENT_MAX:
                 t = v - d
                 if t >= 1:
                     x = math.isqrt(t)
@@ -45,13 +47,13 @@ def lebesgue_nagell_solve(d: int, x_max: int, n_max: int = 64) -> list:
     return sorted(solutions, key=lambda s: (s.n, s.y, s.x))
 
 
-def lebesgue_nagell_naive(d: int, x_max: int, n_max: int = 64) -> list:
+def lebesgue_nagell_naive(d: int, x_max: int) -> list:
     """Oracle: triple loop over (x, y-candidates via n-th roots). Only sane for
     small boxes."""
     found = []
     for x in range(1, x_max + 1):
         v = x * x + d
-        for n in range(3, n_max + 1):
+        for n in range(3, EXPONENT_MAX + 1):
             if 1 << n > v:
                 break
             y = round(v ** (1.0 / n))

@@ -30,25 +30,24 @@ class QuadraticPrimeList:
         return tuple(b - a for a, b in zip(self.primes, self.primes[1:]))
 
 
+def _prime_members(top: int, d: int) -> list:
+    """All 1 <= n <= top with n**2 + d prime, ascending."""
+    return [n for n in range(1, top + 1) if is_prime_u64(n * n + d)]
+
+
 def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
     if n_max >= 1 and n_max * n_max + d > _U64_MAX:
         raise OverflowError("n_max**2 + d exceeds 64 bits")
-    members = []
-    values = []
-    for n in range(1, n_max + 1):
-        v = n * n + d
-        if is_prime_u64(v):
-            members.append(n)
-            values.append(v)
-    return QuadraticPrimeList(d, n_max, tuple(members), tuple(values))
+    members = _prime_members(n_max, d)
+    return QuadraticPrimeList(d, n_max, tuple(members),
+                              tuple(n * n + d for n in members))
 
 
 def pi_f(x: float, d: int) -> int:
     """Count of primes of the form n**2 + d <= x, n >= 1."""
     if x < d + 1:
         return 0
-    top = math.isqrt(int(x) - d)
-    return sum(1 for n in range(1, top + 1) if is_prime_u64(n * n + d))
+    return len(_prime_members(math.isqrt(int(x) - d), d))
 
 
 def twin_quadratic_pairs(n_max: int) -> list:
@@ -83,6 +82,21 @@ HL_CONSTANT_D1 = 1.3727  # truncated decimal as printed in the literature
 B_CONSTANT_REF = -0.0662756342
 
 
+def _tail_averaged(name: str, prime_bound: int, ps: np.ndarray,
+                   running: np.ndarray, empty: float,
+                   reference: float | None) -> ConstantEstimate:
+    """The estimate from the running value at each odd prime of ps: its last
+    value, and its mean over the primes above prime_bound // 2 (the last value
+    alone when there are none). Both are ``empty`` when ps is empty."""
+    if len(ps) == 0:
+        return ConstantEstimate(name, prime_bound, empty, empty, reference)
+    tail = running[ps > prime_bound // 2]
+    if len(tail) == 0:
+        tail = running[-1:]
+    return ConstantEstimate(name, prime_bound, float(running[-1]),
+                            float(tail.mean()), reference)
+
+
 def _character_values(d: int, odd_primes: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.where(odd_primes % 4 == 1, 1, -1).astype(np.int64)
@@ -98,18 +112,10 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     """
     ps = primes_up_to(prime_bound)
     ps = ps[ps >= 3]
-    if len(ps) == 0:
-        return ConstantEstimate("hardy_littlewood", prime_bound, 1.0, 1.0,
-                                HL_CONSTANT_D1 if d == 1 else None)
     chi = _character_values(d, ps)
-    factors = 1.0 - chi / (ps.astype(np.float64) - 1.0)
-    running = np.cumprod(factors)
-    tail = running[ps > prime_bound // 2]
-    if len(tail) == 0:
-        tail = running[-1:]
-    return ConstantEstimate("hardy_littlewood", prime_bound,
-                            float(running[-1]), float(tail.mean()),
-                            HL_CONSTANT_D1 if d == 1 else None)
+    running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
+    return _tail_averaged("hardy_littlewood", prime_bound, ps, running, 1.0,
+                          HL_CONSTANT_D1 if d == 1 else None)
 
 
 def kappa_quadrature() -> float:

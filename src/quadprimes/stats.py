@@ -58,32 +58,30 @@ class OmegaHistogram:
         return sum(self.counts)
 
 
-def omega_histogram(limit: int, omegas: np.ndarray | None = None) -> OmegaHistogram:
+def omega_histogram(limit: int) -> OmegaHistogram:
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if omegas is None:
-        omegas = omega_sieve(limit)
-    om = omegas[1 : limit + 1]
+    om = omega_sieve(limit)[1:]
     # one pass per k: np.bincount would copy the uint8 table to intp first
     counts = tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
     threshold = math.ceil(math.log(math.log(limit))) if limit > 15 else 0
     return OmegaHistogram(limit, counts, threshold)
 
 
-def pi_k(x: int, k: int, omegas: np.ndarray | None = None) -> int:
+def pi_k(x: int, k: int) -> int:
     """Exact #{n <= x : omega(n) = k}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return omega_histogram(x, omegas).pi_k(k)
+    return omega_histogram(x).pi_k(k)
 
 
-def landau_ratio(x: int, k: int, omegas: np.ndarray | None = None) -> float:
+def landau_ratio(x: int, k: int) -> float:
     """pi_k(x) (k-1)! log x / (x (log log x)**(k-1)); tends to 1 as x grows."""
     if x < 16:
         raise ValueError("landau_ratio requires x >= 16")
     if k < 1:
         raise ValueError("k must be >= 1")
-    count = pi_k(x, k, omegas)
+    count = pi_k(x, k)
     llx = math.log(math.log(x))
     return count * math.factorial(k - 1) * math.log(x) / (x * llx ** (k - 1))
 
@@ -113,13 +111,10 @@ class HighOmegaMass:
         return self.count / self.limit
 
 
-def high_omega_mass(x: int, d: int,
-                    omegas: np.ndarray | None = None) -> HighOmegaMass:
+def high_omega_mass(x: int, d: int) -> HighOmegaMass:
     if x < 16:
         raise ValueError("high_omega_mass requires x >= 16")
-    if omegas is None:
-        omegas = omega_sieve(x)
-    om = omegas[1 : x + 1].astype(np.int64)
+    om = omega_sieve(x)[1:].astype(np.int64)
     rhos = rho_table(x, d)[1 : x + 1]
     lx = math.log(x)
     llx = math.log(lx)

@@ -133,7 +133,6 @@ class ProgressionSumResult:
     shift: int
     direct: float
     estimate: float
-    frac_parts: tuple
     error_bound: float
 
 
@@ -147,55 +146,33 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     rs = roots_mod(q, d)
     top = _n_limit(x, d)
     if not rs.roots or top < 2:
-        return ProgressionSumResult(q, d, 0.0, 0.0, (), 0.0)
+        return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
     s = math.sqrt(max(x - d, 4.0))
     ns = []
-    fracs = []
     estimate = 0.0
     for r in rs.roots:
         first = r if r >= 2 else r + q * ((2 - r + q - 1) // q)
         ns.extend(range(first, top + 1, q))
         f = ((s - r) / q) % 1.0
-        fracs.append(f)
         last = s - q * f
         if first <= top:
             lo = max(r, 2)
             estimate += (2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(lo)))
     if not ns:
-        return ProgressionSumResult(q, d, 0.0, 0.0, tuple(fracs), 0.0)
+        return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
     ns.sort()
     direct = 0.0
     for n in ns:
         direct += 1.0 / (n * math.sqrt(math.log(n)))
     n0 = ns[0]
     bound = rs.count / (n0 * math.sqrt(math.log(n0)))
-    return ProgressionSumResult(q, d, direct, estimate, tuple(fracs), bound)
+    return ProgressionSumResult(q, d, direct, estimate, bound)
 
 
 def qualifying_n_by_trial(x: float, q: int, d: int) -> list:
     """Oracle: the same qualifying n found by filtering every n (no roots)."""
     top = _n_limit(x, d)
     return [n for n in range(2, top + 1) if (n * n + d) % q == 0]
-
-
-def mobius_log_progression(x: float, q: int, a: int) -> float:
-    """Empirical partial sum of mu(n) log(n) / n over n <= x, n = a (mod q),
-    with mu from a smallest-prime-factor table up to x."""
-    if math.gcd(a, q) > 1:
-        raise ValueError("requires gcd(a, q) = 1")
-    top = int(x)
-    if top < 1:
-        return 0.0
-    sieve = FactorSieve(max(top, 2))
-    total = 0.0
-    start = a % q if a % q else q
-    for n in range(start, top + 1, q):
-        if n < 2:
-            continue
-        mu = sieve.mobius(n)
-        if mu:
-            total += mu * math.log(n) / n
-    return total
 
 
 def dirichlet_partial(s: float, n_terms: int, d: int) -> float:

@@ -305,15 +305,36 @@ _CHECKS = (
 )
 
 
+def _validate(p: SuiteParams) -> None:
+    """Raise ValueError for the first field the checks cannot run with (NaN
+    lies in no range)."""
+    top = arith.PRIME_SIEVE_LIMIT ** 2  # the checks sieve up to sqrt(x)
+    rules = (
+        # the checks divide by sqrt(log x)
+        ("x", 2 <= p.x <= top, f"2 <= x <= {top}"),
+        # n**2 + d >= 1 for n >= 2, and it fits an int64 in the root scans
+        ("d", -3 <= p.d < 2**62, "-3 <= d < 2**62"),
+        ("epsilon", 0 < p.epsilon < 0.5, "0 < epsilon < 1/2"),
+        ("prime_bound", p.prime_bound <= arith.PRIME_SIEVE_LIMIT,
+         f"prime_bound <= {arith.PRIME_SIEVE_LIMIT}"),
+        ("fi_x", 0 <= p.fi_x <= top, f"0 <= fi_x <= {top}"),
+        ("psi_n", 100 <= p.psi_n <= lcmpsi.PSI_N_LIMIT,
+         f"100 <= psi_n <= {lcmpsi.PSI_N_LIMIT}"),
+    )
+    for name, ok, bounds in rules:
+        if not ok:
+            raise ValueError(f"verify requires {bounds}, "
+                             f"got {name} = {getattr(p, name)!r}")
+
+
 def run_suite(params: SuiteParams) -> VerificationReport:
     """Run every check in definition order and time each call; the report
     content is a function of ``params`` alone (timings aside).
 
-    Rejects x < 2 with ValueError before any check runs: the checks divide by
-    sqrt(log x) and factor n up to x.
+    Every field is checked before the first check runs: one out of range
+    (NaN included) raises ValueError.
     """
-    if params.x < 2:
-        raise ValueError(f"verify requires x >= 2, got {params.x!r}")
+    _validate(params)
     checks = []
     for fn in _CHECKS:
         t0 = time.perf_counter()

@@ -71,10 +71,6 @@ def test_sieve_agrees_with_trial_division():
         parts = naive_factor(n)
         assert SIEVE.factor(n).parts == parts
         assert SIEVE.omega(n) == len(parts)
-        mu = 0 if any(e > 1 for _, e in parts) else (-1) ** len(parts)
-        if n == 1:
-            mu = 1
-        assert SIEVE.mobius(n) == mu
 
 
 def test_factorization_invariant():
@@ -126,3 +122,8 @@ def test_sieve_spf_invariants():
         assert n % p == 0
         assert naive_is_prime(p)
         assert (p == n) == naive_is_prime(n)
+
+
+def test_primes_up_to_rejects_beyond_limit():
+    with pytest.raises(ValueError, match="exceeds"):
+        arith.primes_up_to(arith.PRIME_SIEVE_LIMIT + 1)

@@ -238,3 +238,13 @@ def test_psi_beyond_psi_n_limit_exits_2():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_prime_bound_beyond_sieve_limit_exits_2(command):
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", command,
+                           "--prime-bound", "1e11"], capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

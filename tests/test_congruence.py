@@ -20,6 +20,13 @@ def test_sqrt_mod_prime_rejects_composite():
         congruence.sqrt_mod_prime(3, 15)
 
 
+def test_sqrt_mod_prime_exhaustive_small_primes():
+    for p in arith.primes_up_to(199).tolist():
+        for a in range(p):
+            assert congruence.sqrt_mod_prime(a, p) == \
+                [z for z in range(p) if z * z % p == a]
+
+
 def test_sqrt_mod_prime_large():
     for p in (101, 10007, 104729, 2 ** 31 - 1):
         rng = random.Random(p)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quadprimes import lcmpsi
+from quadprimes import arith, lcmpsi
 
 
 def test_euler_gamma():
@@ -39,6 +39,17 @@ def test_max_valuation_examples():
     assert lcmpsi.max_valuation(7, 10**6) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 57, 300, 2000])
+def test_valuation_rises_sum_to_max_valuation(n):
+    _, ps, rises = lcmpsi._valuation_rises(n)
+    total = {}
+    for p, r in zip(ps.tolist(), rises.tolist()):
+        total[p] = total.get(p, 0) + r
+    # every prime up to n, and the cofactor primes above it
+    for p in set(arith.primes_up_to(n).tolist()) | set(total):
+        assert total.get(p, 0) == lcmpsi.max_valuation(p, n)
+
+
 def test_max_valuation_matches_trial():
     for p in (2, 5, 13, 17, 29):
         for n in (10, 100, 1000):
@@ -72,6 +83,6 @@ def test_residual_trend_rejects_small():
 
 
 def test_trace_psi_agrees_with_psi_f():
-    tr = lcmpsi.psi_residual_trend(400, samples=5)
+    tr = lcmpsi.psi_residual_trend(400)
     for n, v in zip(tr.ns, tr.psi):
         assert v == pytest.approx(lcmpsi.psi_f(n), rel=1e-12)

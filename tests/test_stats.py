@@ -31,7 +31,7 @@ def test_histogram_small():
 
 
 def test_histogram_partition():
-    h = stats.omega_histogram(10**6, OMEGAS)
+    h = stats.omega_histogram(10**6)
     assert h.total == 10**6
     assert h.pi_k(1) == 78734  # primes + prime powers up to 1e6
     assert h.threshold == math.ceil(math.log(math.log(10**6)))
@@ -40,7 +40,7 @@ def test_histogram_partition():
 def test_pi_k_against_counting():
     for k in range(0, 5):
         direct = sum(1 for n in range(1, 2001) if SIEVE.omega(n) == k)
-        assert stats.pi_k(2000, k, OMEGAS) == direct
+        assert stats.pi_k(2000, k) == direct
 
 
 def test_landau_ratio_rejections():
@@ -52,17 +52,17 @@ def test_landau_ratio_rejections():
 
 def test_landau_ratio_k1_is_pnt_ratio():
     # pi_1 counts primes and prime powers, so the k = 1 ratio is close to 1
-    r = stats.landau_ratio(10**6, 1, OMEGAS)
+    r = stats.landau_ratio(10**6, 1)
     assert abs(r - 1.0) < 0.1
 
 
 def test_landau_ratio_k2_midscale():
-    r = stats.landau_ratio(10**6, 2, OMEGAS)
+    r = stats.landau_ratio(10**6, 2)
     assert 1.0 < r < 2.0
 
 
 def test_high_omega_example():
-    m = stats.high_omega_mass(100, 1, OMEGAS[:101])
+    m = stats.high_omega_mass(100, 1)
     # log log 100 = 1.527...; omega(q) >= 2 qualifies, 64 moduli up to 100
     assert m.count == 64
     assert m.count_ceil == sum(1 for q in range(1, 101) if SIEVE.omega(q) > 2)
@@ -71,7 +71,7 @@ def test_high_omega_example():
 
 def test_high_omega_sums_match_direct():
     from quadprimes import congruence
-    m = stats.high_omega_mass(5000, 1, OMEGAS[:5001])
+    m = stats.high_omega_mass(5000, 1)
     llx = math.log(math.log(5000))
     direct = sum(congruence.rho(q, 1)
                  for q in range(1, 5001) if SIEVE.omega(q) > llx)
@@ -81,7 +81,7 @@ def test_high_omega_sums_match_direct():
 
 
 def test_high_omega_bound_midscale():
-    m = stats.high_omega_mass(10**6, 1, OMEGAS)
+    m = stats.high_omega_mass(10**6, 1)
     assert m.within_bound
     assert m.rho_sum <= m.bound
 
@@ -93,6 +93,6 @@ def test_high_omega_rejects_small_x():
 
 def test_low_omega_majority():
     # moduli with omega(q) <= ceil(log log x) carry most of the range
-    h = stats.omega_histogram(10**6, OMEGAS)
+    h = stats.omega_histogram(10**6)
     low = sum(h.pi_k(k) for k in range(0, h.threshold + 1))
     assert low / h.total > 0.7

@@ -93,30 +93,6 @@ def test_root_stepping_equals_trial_filter():
         assert stepped == sums.qualifying_n_by_trial(10**6, q, 1)
 
 
-def test_mobius_log_progression_examples():
-    # only n = 5 contributes: mu(5) log(5) / 5, negative since mu(5) = -1
-    assert sums.mobius_log_progression(5, 4, 1) == \
-        pytest.approx(-math.log(5) / 5, rel=1e-12)
-    assert sums.mobius_log_progression(1, 7, 1) == 0.0
-
-
-def test_mobius_log_progression_builds_its_own_sieve():
-    for x, q, a in ((1, 7, 1), (5, 4, 1), (5000, 7, 3), (10**4, 1, 1)):
-        assert sums.mobius_log_progression(x, q, a) == \
-            sum(arith.mobius(n) * math.log(n) / n
-                for n in range(2, x + 1) if n % q == a % q)
-
-
-def test_mobius_log_progression_rejects_common_factor():
-    with pytest.raises(ValueError):
-        sums.mobius_log_progression(100, 6, 3)
-
-
-def test_mobius_log_progression_bounded():
-    v = sums.mobius_log_progression(10**6, 1, 1)
-    assert -2.0 <= v <= 2.0
-
-
 def test_dirichlet_partial_examples():
     expected = math.log(2) + math.log(5) / 2 + math.log(17) / 4 + \
         math.log(37) / 6 + math.log(101) / 10
