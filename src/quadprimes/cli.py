@@ -106,7 +106,7 @@ def _cmd_nagell(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    tr = lcmpsi.psi_residual_trend(max(args.n, 100))
+    tr = lcmpsi.psi_residual_trend(args.n)
     rows = list(zip(tr.ns, tr.psi, tr.residuals))
     _write(_table(["n", "psi", "residual"], rows, args.format), args.out)
     print(f"fitted_slope {tr.fitted_slope!r}  (B used: {tr.B_used!r})",

@@ -14,7 +14,10 @@ import numpy as np
 
 from .arith import factorize, is_prime_u64, primes_up_to
 
-_ROW_BLOCK = 1 << 18  # values per block of ValueSieve.quartic_rows
+# Values per block of ValueSieve.quartic_rows. A block costs a fixed number
+# of numpy passes, so a small one costs little time and bounds the memory of
+# its hit arrays.
+_ROW_BLOCK = 1 << 16
 
 
 def legendre(a: int, p: int) -> int:
@@ -195,63 +198,66 @@ def _progressions(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
             + each * np.arange(count.sum(), dtype=np.int64))
 
 
+def _stepped(root: np.ndarray, step: np.ndarray, lo, hi, offset):
+    """The hits of n = root[j] (mod step[j]) over lo[j] <= n <= hi[j], for
+    every j, as ValueSieve takes them: the positions offset[j] + n - lo[j],
+    and the step of each. lo, hi and offset are arrays like root, or one int
+    for every j."""
+    first = (root - lo) % step
+    count = (hi - lo - first) // step + 1
+    return _progressions(offset + first, count, step), np.repeat(step, count)
+
+
 class ValueSieve:
     """Factorisations of a block of values n**2 + c, by stepping roots.
 
     ``values`` is the block, every value >= 1; an int64 array is divided in
-    place and becomes ``cofactor``. ``hits`` yields one pair (p, positions)
-    per prime p <= isqrt(max value), in ascending p: the positions of the
-    values that p divides, read off the roots of n**2 + c = 0 (mod p) instead
-    of found by trial division. Each prime is divided out with numpy fancy
-    indexing; a position that p does not divide raises ValueError.
-    Afterwards:
+    place and becomes ``cofactor``. ``at`` and ``prime`` are the hits, one
+    entry each, grouped by ascending prime: for every prime p <=
+    isqrt(max value), the positions of the values that p divides, read off
+    the roots of n**2 + c = 0 (mod p) instead of found by trial division. A
+    hit whose prime does not divide its value raises ValueError. Afterwards:
 
     - ``cofactor[i]`` is what remains of value i: 1 or a prime larger than
       every sieved prime;
     - ``omega[i]`` counts the distinct primes of value i, cofactor included;
     - ``largest[i]`` is the largest sieved prime dividing value i (1 if none);
-    - ``hit_index``, ``hit_prime`` and ``hit_exp`` hold one entry per sieved
-      prime dividing a value: the position, the prime and its exponent, in
-      ascending prime order.
+    - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
+      the exponent of each hit's prime in its value.
 
     The front ends ``shift`` (n**2 + d) and ``quartic_rows`` (n**2 + m**4)
-    build the block and its hits.
+    build the block and, with ``_stepped``, its hits.
     """
 
-    def __init__(self, values: np.ndarray, hits):
+    def __init__(self, values: np.ndarray, at: np.ndarray, prime: np.ndarray):
         cofactor = np.asarray(values, dtype=np.int64)
+        if (cofactor[at] % prime).any():
+            raise ValueError("a prime does not divide every value it hits")
+        # The primes that hit one value are distinct, so after this division
+        # p divides the cofactor exactly where p**2 divides the value.
+        np.floor_divide.at(cofactor, at, prime)
+        exp = np.ones(len(at), dtype=np.uint8)
+        k = np.flatnonzero(cofactor[at] % prime == 0)
+        while len(k):
+            np.floor_divide.at(cofactor, at[k], prime[k])
+            exp[k] += 1
+            k = k[cofactor[at[k]] % prime[k] == 0]
         largest = np.ones(len(cofactor), dtype=np.int64)
-        index, primes, counts, exps = [], [], [], []
-        for p, idx in hits:
-            q, r = np.divmod(cofactor[idx], p)
-            if r.any():
-                raise ValueError(f"{p} does not divide every value it hits")
-            cofactor[idx] = q
-            exp = np.ones(len(idx), dtype=np.uint8)
-            k = np.flatnonzero(q % p == 0)
-            while len(k):
-                at = idx[k]
-                cofactor[at] //= p
-                exp[k] += 1
-                k = k[cofactor[at] % p == 0]
-            largest[idx] = p
-            index.append(idx)
-            primes.append(p)
-            counts.append(len(idx))
-            exps.append(exp)
+        np.maximum.at(largest, at, prime)
         self.cofactor = cofactor
         self.largest = largest
-        self.hit_index = np.concatenate(index) if index else np.empty(0, np.int64)
-        self.hit_prime = np.repeat(np.array(primes, dtype=np.int64), counts)
-        self.hit_exp = np.concatenate(exps) if exps else np.empty(0, np.uint8)
-        self.omega = (np.bincount(self.hit_index, minlength=len(cofactor))
+        self.hit_index = at
+        self.hit_prime = prime
+        self.hit_exp = exp
+        self.omega = (np.bincount(at, minlength=len(cofactor))
                       + (cofactor > 1)).astype(np.uint8)
 
     @classmethod
     def shift(cls, n_lo: int, n_hi: int, d: int) -> "ValueSieve":
         """Sieve n**2 + d for 0 <= n_lo <= n <= n_hi; position i holds n_lo + i."""
         if n_hi < n_lo:
-            return cls(np.empty(0, dtype=np.int64), ())
+            none = np.empty(0, dtype=np.int64)
+            return cls(none, none, none)
         if n_hi * n_hi + abs(d) >= 1 << 63:
             raise OverflowError("n**2 + d exceeds 63 bits")
         if n_lo < 0:
@@ -260,31 +266,23 @@ class ValueSieve:
             raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
         ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
-        roots = [sqrt_mod_prime(-d % p, p) for p in ps.tolist()]
-        rho = np.array([len(r) for r in roots], dtype=np.int64)
-        # one progression of positions per root, every prime at once
-        step = np.repeat(ps, rho)
-        first = (np.array([r for rs in roots for r in rs], dtype=np.int64)
-                 - n_lo) % step
-        count = (len(n) - 1 - first) // step + 1
-        at = _progressions(first, count, step)
-        # the positions prime i hits are at[cut[i] : cut[i + 1]]
-        cut = np.r_[0, np.cumsum(count)][np.r_[0, np.cumsum(rho)]].tolist()
-        return cls(n * n + d, ((p, at[a:b]) for p, a, b
-                               in zip(ps.tolist(), cut, cut[1:]) if a < b))
+        roots = [(p, r) for p in ps.tolist() for r in sqrt_mod_prime(-d % p, p)]
+        step, root = np.array(roots, dtype=np.int64).reshape(-1, 2).T
+        return cls(n * n + d, *_stepped(root, step, n_lo, n_hi, 0))
 
     @classmethod
     def quartic_rows(cls, x: int):
         """Yield sieves over the values n**2 + m**4 <= x with n, m >= 1, in
         (m, n) lexicographic order, each over at most _ROW_BLOCK values.
 
-        For a fixed row m the roots mod p are +-m**2 i_p with i_p**2 = -1
-        (p = 1 mod 4), 0 when p divides m, and m mod 2 for p = 2.
+        For a fixed row m the roots mod p are +-m**2 i_p, with i_p**2 = -1 for
+        p = 1 (mod 4) and i_2 = 1; for p = 3 (mod 4) the root is 0 when p
+        divides m, and there is none otherwise.
         """
         if x >= 1 << 63:
             raise OverflowError("x exceeds 63 bits")
         ps = primes_up_to(math.isqrt(x) if x >= 2 else 0)
-        unit = np.array([sqrt_mod_prime(p - 1, p)[0] if p % 4 == 1 else 0
+        unit = np.array([sqrt_mod_prime(p - 1, p)[0] if p % 4 != 3 else 0
                          for p in ps.tolist()], dtype=np.int64)
         segments = []  # (m, n_lo, n_hi), n_lo <= n_hi
         size = 0
@@ -310,28 +308,17 @@ class ValueSieve:
         count = hi - lo + 1
         offset = np.cumsum(count) - count
         values = _progressions(lo, count, 1) ** 2 + np.repeat(m ** 4, count)
-        m_sq = m * m
         last = np.searchsorted(ps, math.isqrt(int(values.max())), side="right")
-
-        def hits():
-            for p, i in zip(ps[:last].tolist(), unit[:last].tolist()):
-                if p == 2:
-                    segs, roots = np.arange(len(m)), m % 2
-                elif i:
-                    r = m_sq % p * i % p
-                    two = np.flatnonzero(r != 0)
-                    segs = np.concatenate([np.arange(len(m)), two])
-                    roots = np.concatenate([r, p - r[two]])
-                else:
-                    segs = np.flatnonzero(m % p == 0)
-                    if not len(segs):
-                        continue
-                    roots = np.zeros(len(segs), dtype=np.int64)
-                first = (roots - lo[segs]) % p
-                steps = (hi[segs] - lo[segs] - first) // p + 1
-                yield p, _progressions(offset[segs] + first, steps, p)
-
-        return cls(values, hits())
+        # per (prime, segment) pair, prime-major: r = m**2 i_p is a root when
+        # i_p exists or p divides m, and p - r is a second one unless
+        # 2r = 0 (mod p)
+        p, i = ps[:last, None], unit[:last, None]
+        r = m * m % p * i % p
+        roots = np.stack([r, p - r], axis=2)
+        keep = np.stack([(i != 0) | (m % p == 0), 2 * r % p != 0], axis=2)
+        j, seg, _ = np.nonzero(keep)
+        return cls(values, *_stepped(roots[keep], ps[j], lo[seg], hi[seg],
+                                     offset[seg]))
 
     def largest_prime(self) -> np.ndarray:
         """Largest prime factor of each value (1 for the value 1)."""

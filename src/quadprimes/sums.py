@@ -15,6 +15,10 @@ import numpy as np
 from .arith import FactorSieve, von_mangoldt
 from .congruence import ValueSieve, roots_mod
 
+# Largest x that _expansion sieves. Its time and memory grow with sqrt(x):
+# at x = 10**12 (10**6 values) the default verify checks need over 1 GiB.
+SUM_X_LIMIT = 10**12
+
 
 def _n_limit(x: float, d: int) -> int:
     """Largest n with n**2 + d <= x (0 when none)."""
@@ -45,8 +49,10 @@ def _expansion(x: float, d: int):
     Returns the ValueSieve and, for every squarefree q dividing one of these
     values (the only moduli with a nonzero progression sum), in ascending q:
     mu(q), omega(q) and T(x; q, d) = sum of 1/(n sqrt(log n)) over the n with
-    q | n**2 + d, added in ascending n.
+    q | n**2 + d, added in ascending n. x is at most SUM_X_LIMIT.
     """
+    if x > SUM_X_LIMIT:
+        raise ValueError(f"sum cutoff x = {x!r} exceeds {SUM_X_LIMIT}")
     top = _n_limit(x, d)
     sv = ValueSieve.shift(2, top, d)
     owner, q, mu, om = sv.squarefree_divisors()

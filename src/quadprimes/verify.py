@@ -308,10 +308,11 @@ _CHECKS = (
 def _validate(p: SuiteParams) -> None:
     """Raise ValueError for the first field the checks cannot run with (NaN
     lies in no range)."""
-    top = arith.PRIME_SIEVE_LIMIT ** 2  # the checks sieve up to sqrt(x)
+    # the n**2 + m**4 sum sieves primes up to sqrt(fi_x)
+    top = arith.PRIME_SIEVE_LIMIT ** 2
     rules = (
-        # the checks divide by sqrt(log x)
-        ("x", 2 <= p.x <= top, f"2 <= x <= {top}"),
+        # the checks divide by sqrt(log x), and the sums sieve n**2 + d <= x
+        ("x", 2 <= p.x <= sums.SUM_X_LIMIT, f"2 <= x <= {sums.SUM_X_LIMIT}"),
         # n**2 + d >= 1 for n >= 2, and it fits an int64 in the root scans
         ("d", -3 <= p.d < 2**62, "-3 <= d < 2**62"),
         ("epsilon", 0 < p.epsilon < 0.5, "0 < epsilon < 1/2"),

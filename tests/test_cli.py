@@ -240,6 +240,23 @@ def test_psi_beyond_psi_n_limit_exits_2():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "sum"])
+def test_x_beyond_sum_limit_exits_2(command):
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", command,
+                           "--x", "1e13"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_psi_below_100_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "psi",
+                           "--n", "50"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["verify", "constants"])
 def test_prime_bound_beyond_sieve_limit_exits_2(command):
     proc = subprocess.run([sys.executable, "-m", "quadprimes", command,

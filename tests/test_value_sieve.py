@@ -26,6 +26,7 @@ def sieved_parts(sv: ValueSieve, size: int) -> list:
 
 
 def check_against_factorize(sv: ValueSieve, values: list):
+    assert np.all(np.diff(sv.hit_prime) >= 0)
     parts = sieved_parts(sv, len(values))
     largest = sv.largest_prime().tolist()
     base = sv.prime_power_base().tolist()
@@ -65,6 +66,11 @@ def test_shift_bounds():
     with pytest.raises(OverflowError):
         ValueSieve.shift(1, 10, 1 << 63)
     assert len(ValueSieve.shift(5, 4, 1).cofactor) == 0
+
+
+def test_hit_that_does_not_divide_raises():
+    with pytest.raises(ValueError):
+        ValueSieve(np.array([6, 9]), np.array([0, 1]), np.array([2, 2]))
 
 
 def quartic_values(x: int) -> list:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quadprimes import arith, lcmpsi, verify
+from quadprimes import arith, lcmpsi, sums, verify
 from quadprimes.report import PASS, CheckResult
 from quadprimes.verify import SuiteParams
 
@@ -13,7 +13,7 @@ def _never_called(params):
 
 @pytest.mark.parametrize("field,value", [
     ("x", 1), ("x", math.nan), ("x", math.inf),
-    ("x", arith.PRIME_SIEVE_LIMIT ** 2 + 1),
+    ("x", arith.PRIME_SIEVE_LIMIT ** 2 + 1), ("x", sums.SUM_X_LIMIT * 10),
     ("d", -4), ("d", 2**62),
     ("epsilon", 0.7), ("epsilon", 0.0), ("epsilon", 0.5),
     ("epsilon", math.nan),
@@ -28,7 +28,7 @@ def test_run_suite_rejects_before_any_check(field, value, monkeypatch):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("x", 2), ("d", -3), ("d", 10**12), ("epsilon", 0.49),
+    ("x", 2), ("x", sums.SUM_X_LIMIT), ("d", -3), ("d", 10**12), ("epsilon", 0.49),
     ("prime_bound", arith.PRIME_SIEVE_LIMIT), ("fi_x", 0.0),
     ("psi_n", 100), ("psi_n", lcmpsi.PSI_N_LIMIT),
 ])
