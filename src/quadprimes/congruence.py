@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, is_prime_u64, primes_up_to
+from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
 
 # Values per block of ValueSieve.quartic_rows. A block costs a fixed number
 # of numpy passes, so a small one costs little time and bounds the memory of
@@ -53,6 +53,111 @@ def sqrt_mod_prime(a: int, p: int) -> list:
     else:
         z = _tonelli_shanks(a, p)
     return sorted({z, p - z})
+
+
+def _pow_mod(base, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base**exp % p elementwise; base is an array like p, or one int.
+
+    Every p is below 2**31, so no product reaches 2**63.
+    """
+    out = np.ones_like(p)
+    base = base % p
+    for k in range(int(exp.max(initial=0)).bit_length()):
+        if k:
+            np.multiply(base, base, out=base)
+            np.remainder(base, p, out=base)
+        bit = exp & 1 << k != 0
+        np.multiply(out, base, out=out, where=bit)
+        np.remainder(out, p, out=out, where=bit)
+    return out
+
+
+def quadratic_characters(d: int, ps: np.ndarray) -> np.ndarray:
+    """(-d | p) for every odd prime p of ps, by Euler's criterion in one pass."""
+    ps = np.asarray(ps, dtype=np.int64)
+    t = _pow_mod(-d % ps, (ps - 1) // 2, ps)
+    return np.where(t == ps - 1, -1, t)
+
+
+def _non_residues(ps: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue of every prime p = 1 (mod 4) of ps.
+
+    It is a prime q below sqrt(p) + 1. By quadratic reciprocity an odd q is
+    a non-residue mod p exactly when p is one mod q, so each candidate costs
+    a lookup of p % q among the squares mod q; q = 2 is one exactly when
+    p = 5 (mod 8).
+    """
+    c = np.where(ps % 8 == 5, 2, 0)
+    todo = np.flatnonzero(c == 0)
+    for q in primes_up_to(math.isqrt(int(ps.max(initial=0))) + 1)[1:].tolist():
+        if not len(todo):
+            break
+        square = np.zeros(q, dtype=bool)
+        square[np.arange(q) ** 2 % q] = True
+        found = ~square[ps[todo] % q]
+        c[todo[found]] = q
+        todo = todo[~found]
+    return c
+
+
+def _roots_one_mod_four(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """For primes p = 1 (mod 4): z with z*z = a (mod p) wherever a is a
+    residue (elsewhere z is garbage). z = c**((p - 1)/4) for a = -1, with c a
+    non-residue; Tonelli-Shanks, under masks, for every other a."""
+    c = _non_residues(p)
+    z = _pow_mod(c, p >> 2, p)  # (p - 1)/4
+    ts = np.flatnonzero(a != p - 1)
+    if not len(ts):
+        return z
+    a, p, c = a[ts], p[ts], c[ts]
+    low = (p - 1) & (1 - p)  # the lowest set bit: p - 1 = s * 2**e, s odd
+    e = np.log2(low).astype(np.int64)
+    s = (p - 1) // low
+    w = _pow_mod(a, (s - 1) // 2, p)
+    x = w * a % p  # a**((s + 1)/2)
+    t = w * x % p  # a**s, so x*x = a*t; its order divides 2**(e - 1)
+    h = _pow_mod(c, s, p)  # of order 2**e
+    # Step k halves the order of t until it divides 2**(k - 1): where
+    # t**(2**(k - 1)) = -1, multiply t by h**2 (order 2**k) and x by h. At
+    # step k, h = c**(s * 2**(e - 1 - k)) for each p with e > k.
+    for k in range(int(e.max()) - 1, 0, -1):
+        on = np.flatnonzero(e > k)
+        u, g, q = t[on], h[on], p[on]
+        for _ in range(k - 1):
+            u = u * u % q
+        h[on] = g * g % q
+        odd = u != 1
+        flip, g, q = on[odd], g[odd], q[odd]
+        x[flip] = x[flip] * g % q
+        t[flip] = t[flip] * g % q * g % q
+    z[ts] = x
+    return z
+
+
+def sqrt_mod_primes(d: int, ps: np.ndarray):
+    """The roots of z**2 = -d (mod p) for every prime p of ps, in one pass.
+
+    Returns (prime, root), one entry per root: the primes in the order of ps,
+    each with its roots ascending, as sqrt_mod_prime(-d % p, p) lists them.
+    z = a**((p + 1)/4) for p = 3 (mod 4), _roots_one_mod_four for p = 1
+    (mod 4), and a is a residue exactly where z*z = a (Euler's criterion,
+    folded into the root). Every p must be below 2**31 (ValueError).
+    """
+    p = np.asarray(ps, dtype=np.int64)
+    if p.max(initial=0) >= 1 << 31:
+        raise ValueError("sqrt_mod_primes takes primes below 2**31")
+    a = -d % p
+    z = a.copy()  # p = 2: the root is a
+    three = (p % 4 == 3) & (a != p - 1)  # -1 has no root
+    z[three] = _pow_mod(a[three], (p[three] + 1) // 4, p[three])
+    one = p % 4 == 1
+    z[one] = _roots_one_mod_four(a[one], p[one])
+    ok = z * z % p == a
+    p, z = p[ok], z[ok]
+    lo = np.minimum(z, p - z)
+    two = (lo != 0) & (p != 2)
+    keep = np.array((np.ones_like(two), two)).T
+    return np.repeat(p, 1 + two), np.array((lo, p - lo)).T[keep]
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
@@ -189,6 +294,32 @@ def rho_table(limit: int, d: int) -> np.ndarray:
     return out
 
 
+def prime_bits(n_max: int, d: int) -> np.ndarray:
+    """bits[n] tells whether n**2 + d is prime, for 0 <= n <= n_max.
+
+    Each root r of each prime p <= isqrt(n_max**2 + d) strikes bits[r::p],
+    one strided pass per root. That strikes the value p itself too, and
+    strikes no value below 2, so the values up to the largest such prime (at
+    least 1) are read off the primes instead. Raises ValueError before it allocates when
+    n_max**2 + d exceeds PRIME_SIEVE_LIMIT**2, the reach of the prime sieve.
+    """
+    if n_max < 0:
+        return np.zeros(0, dtype=bool)
+    top = n_max * n_max + d
+    if top > PRIME_SIEVE_LIMIT ** 2:
+        raise ValueError(f"n**2 + d = {top} exceeds {PRIME_SIEVE_LIMIT ** 2}")
+    bits = np.ones(n_max + 1, dtype=bool)
+    ps = primes_up_to(math.isqrt(max(top, 0)))
+    prime, root = sqrt_mod_primes(d, ps)
+    for p, r in zip(prime, root):
+        bits[r::p] = False
+    cap = int(ps[-1]) if len(ps) else 1
+    head = np.arange(min(n_max, math.isqrt(cap - d)) + 1 if cap >= d else 0)
+    v = head * head + d
+    bits[head] = ps[np.searchsorted(ps, v)] == v if len(ps) else False
+    return bits
+
+
 def _progressions(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
     """Concatenation of first[j] + step[j] * arange(count[j]) over every j;
     step is an array like first, or one int for every j."""
@@ -266,8 +397,7 @@ class ValueSieve:
             raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
         ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
-        roots = [(p, r) for p in ps.tolist() for r in sqrt_mod_prime(-d % p, p)]
-        step, root = np.array(roots, dtype=np.int64).reshape(-1, 2).T
+        step, root = sqrt_mod_primes(d, ps)
         return cls(n * n + d, *_stepped(root, step, n_lo, n_hi, 0))
 
     @classmethod
@@ -282,8 +412,10 @@ class ValueSieve:
         if x >= 1 << 63:
             raise OverflowError("x exceeds 63 bits")
         ps = primes_up_to(math.isqrt(x) if x >= 2 else 0)
-        unit = np.array([sqrt_mod_prime(p - 1, p)[0] if p % 4 != 3 else 0
-                         for p in ps.tolist()], dtype=np.int64)
+        prime, root = sqrt_mod_primes(1, ps)
+        first = np.unique(prime, return_index=True)[1]  # the smaller root
+        unit = np.zeros_like(ps)
+        unit[np.searchsorted(ps, prime[first])] = root[first]
         segments = []  # (m, n_lo, n_hi), n_lo <= n_hi
         size = 0
         m = 1

@@ -8,6 +8,10 @@ from dataclasses import dataclass
 
 EXPONENT_MAX = 64  # largest n the solvers try in x**2 + d = y**n
 
+# Largest x_max that lebesgue_nagell_solve accepts. Its loop over y runs to
+# (x_max**2 + d)**(1/3): at 10**10 that is 4.6 million y, about 5 s.
+NAGELL_X_LIMIT = 10**10
+
 
 @dataclass(frozen=True)
 class NagellSolution:
@@ -23,9 +27,11 @@ class NagellSolution:
 def lebesgue_nagell_solve(d: int, x_max: int) -> list:
     """All solutions of x**2 + d = y**n with 1 <= x <= x_max, y >= 2,
     3 <= n <= EXPONENT_MAX, found by iterating (y, n) and testing y**n - d for a
-    perfect square. Sorted by (n, y, x)."""
+    perfect square. Sorted by (n, y, x). x_max is at most NAGELL_X_LIMIT."""
     if not 1 <= d <= 100:
         raise ValueError("d must lie in 1..100")
+    if x_max > NAGELL_X_LIMIT:
+        raise ValueError(f"x_max = {x_max} exceeds {NAGELL_X_LIMIT}")
     if x_max < 1:
         return []
     limit = x_max * x_max + d

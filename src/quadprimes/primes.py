@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime_u64, primes_up_to
-from .congruence import ValueSieve, quadratic_character
+from .arith import primes_up_to
+from .congruence import ValueSieve, prime_bits, quadratic_characters
 
 _U64_MAX = (1 << 64) - 1
 
@@ -30,21 +30,24 @@ class QuadraticPrimeList:
         return tuple(b - a for a, b in zip(self.primes, self.primes[1:]))
 
 
-def _prime_members(top: int, d: int) -> list:
+def _prime_members(top: int, d: int) -> np.ndarray:
     """All 1 <= n <= top with n**2 + d prime, ascending."""
-    return [n for n in range(1, top + 1) if is_prime_u64(n * n + d)]
+    return np.flatnonzero(prime_bits(top, d)[1:]) + 1
 
 
 def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
+    """The n <= n_max with n**2 + d prime. ValueError when n_max**2 + d is
+    beyond the prime bits' reach, OverflowError beyond 64 bits."""
     if n_max >= 1 and n_max * n_max + d > _U64_MAX:
         raise OverflowError("n_max**2 + d exceeds 64 bits")
-    members = _prime_members(n_max, d)
+    members = _prime_members(n_max, d).tolist()
     return QuadraticPrimeList(d, n_max, tuple(members),
                               tuple(n * n + d for n in members))
 
 
 def pi_f(x: float, d: int) -> int:
-    """Count of primes of the form n**2 + d <= x, n >= 1."""
+    """Count of primes of the form n**2 + d <= x, n >= 1. ValueError when x
+    is beyond the prime bits' reach."""
     if x < d + 1:
         return 0
     return len(_prime_members(math.isqrt(int(x) - d), d))
@@ -54,12 +57,8 @@ def twin_quadratic_pairs(n_max: int) -> list:
     """All (n**2 + 1, n**2 + 3) with both entries prime, n <= n_max, ascending."""
     if n_max >= 1 and n_max * n_max + 3 > _U64_MAX:
         raise OverflowError("n_max**2 + 3 exceeds 64 bits")
-    pairs = []
-    for n in range(1, n_max + 1):
-        a = n * n + 1
-        if is_prime_u64(a) and is_prime_u64(a + 2):
-            pairs.append((a, a + 2))
-    return pairs
+    both = np.flatnonzero(prime_bits(n_max, 1) & prime_bits(n_max, 3))
+    return [(n * n + 1, n * n + 3) for n in both.tolist()]
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ def _tail_averaged(name: str, prime_bound: int, ps: np.ndarray,
 def _character_values(d: int, odd_primes: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.where(odd_primes % 4 == 1, 1, -1).astype(np.int64)
-    return np.array([quadratic_character(d, int(p)) for p in odd_primes],
-                    dtype=np.int64)
+    return quadratic_characters(d, odd_primes)
 
 
 def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:

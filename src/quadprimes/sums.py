@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, von_mangoldt
-from .congruence import ValueSieve, roots_mod
+from .arith import FactorSieve
+from .congruence import ValueSieve, prime_bits, roots_mod
+from .primes import prime_power_scan
 
 # Largest x that _expansion sieves. Its time and memory grow with sqrt(x):
 # at x = 10**12 (10**6 values) the default verify checks need over 1 GiB.
@@ -27,19 +28,35 @@ def _n_limit(x: float, d: int) -> int:
     return math.isqrt(int(x) - d)
 
 
+def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
+    """(n, Lambda(n**2 + d)) for every n_lo <= n <= n_max where it is
+    nonzero, ascending n: log(n**2 + d) where the value is prime, log p where
+    it is p**nu with nu >= 2. ValueError when a value is below 1."""
+    if n_lo > n_max:
+        return []
+    if n_lo * n_lo + d < 1:
+        raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
+    bits = prime_bits(n_max, d)
+    terms = [(n, math.log(n * n + d))
+             for n in (np.flatnonzero(bits[n_lo:]) + n_lo).tolist()]
+    terms += [(n, math.log(p)) for n, p, _ in prime_power_scan(n_max, d)
+              if n >= n_lo]
+    return sorted(terms)
+
+
 def lhs_sum(x: float, d: int, alpha: float = 0.5,
             sieve: FactorSieve | None = None) -> float:
-    """Sum of Lambda(n**2 + d) / (n (log n)**(1 - alpha)) over 2 <= n, n**2 + d <= x."""
+    """Sum of Lambda(n**2 + d) / (n (log n)**(1 - alpha)) over 2 <= n, n**2 + d <= x.
+
+    ``sieve`` is not read; callers still pass it positionally.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if x < 5:
         return 0.0
-    top = _n_limit(x, d)
     total = 0.0
-    for n in range(2, top + 1):
-        lam = von_mangoldt(n * n + d, sieve)
-        if lam:
-            total += lam / (n * math.log(n) ** (1.0 - alpha))
+    for n, lam in _lambda_terms(2, _n_limit(x, d), d):
+        total += lam / (n * math.log(n) ** (1.0 - alpha))
     return total
 
 
@@ -184,8 +201,6 @@ def qualifying_n_by_trial(x: float, q: int, d: int) -> list:
 def dirichlet_partial(s: float, n_terms: int, d: int) -> float:
     """Sum of Lambda(n**2 + d) * n**(-s) for 1 <= n <= n_terms."""
     total = 0.0
-    for n in range(1, n_terms + 1):
-        lam = von_mangoldt(n * n + d)
-        if lam:
-            total += lam * n ** (-s)
+    for n, lam in _lambda_terms(1, n_terms, d):
+        total += lam * n ** (-s)
     return total

@@ -265,3 +265,13 @@ def test_prime_bound_beyond_sieve_limit_exits_2(command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["primes", "--n", "1e9"],
+                                  ["nagell", "--x", "1e11"]])
+def test_beyond_search_bound_exits_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -118,3 +119,40 @@ def test_quadratic_character():
     assert congruence.quadratic_character(1, 5) == 1
     assert congruence.quadratic_character(1, 3) == -1
     assert congruence.quadratic_character(3, 3) == 0
+
+
+PRIMES_1E5 = arith.primes_up_to(10**5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(-100, 100),
+       ps=st.lists(st.sampled_from(PRIMES_1E5.tolist()), max_size=300))
+@example(d=1, ps=PRIMES_1E5.tolist())
+@example(d=-100, ps=PRIMES_1E5.tolist())
+@example(d=7, ps=[])
+def test_sqrt_mod_primes_matches_sqrt_mod_prime(d, ps):
+    prime, root = congruence.sqrt_mod_primes(d, np.array(ps, dtype=np.int64))
+    assert list(zip(prime.tolist(), root.tolist())) == \
+        [(p, r) for p in ps for r in congruence.sqrt_mod_prime(-d % p, p)]
+    odd = [p for p in ps if p > 2]
+    assert congruence.quadratic_characters(d, np.array(odd, dtype=np.int64)) \
+        .tolist() == [congruence.quadratic_character(d, p) for p in odd]
+
+
+def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
+    with pytest.raises(ValueError):
+        congruence.sqrt_mod_primes(1, np.array([2**31 + 11], dtype=np.int64))
+
+
+@pytest.mark.parametrize("d", [-9, -4, -3, -2, -1, 0, 1, 2, 3, 28, 100])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 10**3, 2 * 10**4])
+def test_prime_bits_match_miller_rabin(d, n_max):
+    bits = congruence.prime_bits(n_max, d)
+    assert bits.tolist() == \
+        [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
+
+
+def test_prime_bits_reach():
+    with pytest.raises(ValueError):  # 10**16 + 1
+        congruence.prime_bits(arith.PRIME_SIEVE_LIMIT, 1)
+    assert congruence.prime_bits(-1, 1).tolist() == []

@@ -36,6 +36,11 @@ def test_rejects_out_of_range_shift():
         nagell.lebesgue_nagell_solve(101, 100)
 
 
+def test_rejects_box_beyond_limit():
+    with pytest.raises(ValueError):
+        nagell.lebesgue_nagell_solve(1, nagell.NAGELL_X_LIMIT + 1)
+
+
 def test_empty_box():
     assert nagell.lebesgue_nagell_solve(28, 0) == []
 

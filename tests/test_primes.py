@@ -26,6 +26,13 @@ def test_quadratic_primes_overflow():
         primes.quadratic_primes(2 ** 33, 1)
 
 
+def test_beyond_prime_bits_reach_raises():
+    with pytest.raises(ValueError):
+        primes.quadratic_primes(10**8 + 1, 1)
+    with pytest.raises(ValueError):
+        primes.pi_f(1e17, 1)
+
+
 def test_pi_f():
     assert primes.pi_f(10**4, 1) == 19
     assert primes.pi_f(1, 1) == 0

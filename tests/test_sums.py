@@ -113,3 +113,44 @@ def test_growth_bracket():
         assert v >= prev
         prev = v
         assert 0.5 <= v / math.sqrt(math.log(x)) <= 5.0
+
+
+def lhs_by_von_mangoldt(x, d, alpha):
+    """The per-value loop lhs_sum replaced, adding in the same order."""
+    total = 0.0
+    for n in range(2, math.isqrt(int(x) - d) + 1):
+        lam = arith.von_mangoldt(n * n + d)
+        if lam:
+            total += lam / (n * math.log(n) ** (1.0 - alpha))
+    return total
+
+
+def dirichlet_by_von_mangoldt(s, n_terms, d):
+    total = 0.0
+    for n in range(1, n_terms + 1):
+        lam = arith.von_mangoldt(n * n + d)
+        if lam:
+            total += lam * n ** (-s)
+    return total
+
+
+@pytest.mark.parametrize("x, d, alpha", [
+    (10**4, 1, 0.5), (10**6, 3, 0.25), (10**7, 28, 0.5), (10**6, 0, 0.5),
+    (10**5, -3, 0.75), (10**8, 100, 0.5), (10**6, 64, 0.25), (10**5, -1, 1.0)])
+def test_lhs_sum_equals_von_mangoldt_loop(x, d, alpha):
+    assert sums.lhs_sum(x, d, alpha) == lhs_by_von_mangoldt(x, d, alpha)
+
+
+@pytest.mark.parametrize("s, n_terms, d", [
+    (1.0, 10**4, 1), (0.5, 3000, 0), (2.0, 10**4, 54), (1.0, 5000, 28),
+    (1.5, 2000, 2), (1.0, 1, 1), (1.0, 3000, 100)])
+def test_dirichlet_partial_equals_von_mangoldt_loop(s, n_terms, d):
+    assert sums.dirichlet_partial(s, n_terms, d) == \
+        dirichlet_by_von_mangoldt(s, n_terms, d)
+
+
+def test_values_below_1_raise():
+    with pytest.raises(ValueError):
+        sums.lhs_sum(100, -4)
+    with pytest.raises(ValueError):
+        sums.dirichlet_partial(1.0, 10, -1)
