@@ -284,11 +284,15 @@ def von_mangoldt(n: int, sieve: FactorSieve | None = None) -> float:
 def von_mangoldt_via_mobius(n: int, sieve: FactorSieve | None = None) -> float:
     """-sum over divisors q of n of mu(q) log q (inclusion-exclusion route).
 
-    Only squarefree divisors contribute.
+    Only squarefree divisors contribute, added left to right in the order of
+    squarefree_divisors (the builtin sum compensates from Python 3.12 on).
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    return -sum(mu * math.log(q) for q, mu in squarefree_divisors(n, sieve))
+    total = 0.0
+    for q, mu in squarefree_divisors(n, sieve):
+        total += mu * math.log(q)
+    return -total
 
 
 def divisors(n: int) -> list:

@@ -300,7 +300,9 @@ def prime_bits(n_max: int, d: int) -> np.ndarray:
     Each root r of each prime p <= isqrt(n_max**2 + d) strikes bits[r::p],
     one strided pass per root. That strikes the value p itself too, and
     strikes no value below 2, so the values up to the largest such prime (at
-    least 1) are read off the primes instead. Raises ValueError before it allocates when
+    least 1) are read off the primes instead. When the values are fewer than
+    those primes (a small n_max with a huge d), each value takes one
+    Miller-Rabin test instead. Raises ValueError before it allocates when
     n_max**2 + d exceeds PRIME_SIEVE_LIMIT**2, the reach of the prime sieve.
     """
     if n_max < 0:
@@ -308,8 +310,13 @@ def prime_bits(n_max: int, d: int) -> np.ndarray:
     top = n_max * n_max + d
     if top > PRIME_SIEVE_LIMIT ** 2:
         raise ValueError(f"n**2 + d = {top} exceeds {PRIME_SIEVE_LIMIT ** 2}")
+    reach = math.isqrt(max(top, 0))
+    # Miller-Rabin when the values are fewer than the reach / log(reach) or
+    # so primes that the sieve would step
+    if reach > 2 and n_max + 1 < reach / math.log(reach):
+        return np.array([is_prime_u64(n * n + d) for n in range(n_max + 1)])
     bits = np.ones(n_max + 1, dtype=bool)
-    ps = primes_up_to(math.isqrt(max(top, 0)))
+    ps = primes_up_to(reach)
     prime, root = sqrt_mod_primes(d, ps)
     for p, r in zip(prime, root):
         bits[r::p] = False
@@ -356,8 +363,8 @@ class ValueSieve:
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
 
-    The front ends ``shift`` (n**2 + d) and ``quartic_rows`` (n**2 + m**4)
-    build the block and, with ``_stepped``, its hits.
+    The front ends ``shift`` (n**2 + d), ``quartic_rows`` (n**2 + m**4) and
+    ``integers`` (n itself) build the block and, with ``_stepped``, its hits.
     """
 
     def __init__(self, values: np.ndarray, at: np.ndarray, prime: np.ndarray):
@@ -399,6 +406,19 @@ class ValueSieve:
         ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
         step, root = sqrt_mod_primes(d, ps)
         return cls(n * n + d, *_stepped(root, step, n_lo, n_hi, 0))
+
+    @classmethod
+    def integers(cls, n_lo: int, n_hi: int) -> "ValueSieve":
+        """Sieve the integers n for 1 <= n_lo <= n <= n_hi, the root of each
+        prime p being n = 0 (mod p); position i holds n_lo + i."""
+        if n_lo < 1:
+            raise ValueError("n_lo must be >= 1")
+        if n_hi < n_lo:
+            none = np.empty(0, dtype=np.int64)
+            return cls(none, none, none)
+        step = primes_up_to(math.isqrt(n_hi))
+        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+        return cls(n, *_stepped(0, step, n_lo, n_hi, 0))
 
     @classmethod
     def quartic_rows(cls, x: int):

@@ -6,11 +6,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 EXPONENT_MAX = 64  # largest n the solvers try in x**2 + d = y**n
 
 # Largest x_max that lebesgue_nagell_solve accepts. Its loop over y runs to
 # (x_max**2 + d)**(1/3): at 10**10 that is 4.6 million y, about 5 s.
 NAGELL_X_LIMIT = 10**10
+
+# Largest x_max that the int64 oracle lebesgue_nagell_naive accepts.
+NAGELL_NAIVE_X_LIMIT = 10**5
+
+# The candidates y - 1, y, y + 1 around a rounded root y, one row each.
+_NEIGHBOURS = np.array([[-1], [0], [1]])
 
 
 @dataclass(frozen=True)
@@ -54,19 +62,34 @@ def lebesgue_nagell_solve(d: int, x_max: int) -> list:
 
 
 def lebesgue_nagell_naive(d: int, x_max: int) -> list:
-    """Oracle: triple loop over (x, y-candidates via n-th roots). Only sane for
-    small boxes."""
+    """Oracle: for every x <= x_max and 3 <= n <= EXPONENT_MAX, the n-th root
+    candidates y - 1, y, y + 1 of x**2 + d, each tested exactly. Each n is
+    one pass over every x at once, in int64 arrays. Sorted by (n, y, x).
+
+    x_max is at most NAGELL_NAIVE_X_LIMIT and |d| at most 100 (ValueError):
+    then x**2 + d <= 10**10 + 100, every candidate power stays below
+    (x**2 + d)**1.59 < 2**63, and int64 cannot wrap.
+    """
+    if x_max > NAGELL_NAIVE_X_LIMIT or abs(d) > 100:
+        raise ValueError(f"the oracle takes x_max <= {NAGELL_NAIVE_X_LIMIT} "
+                         f"and |d| <= 100, got x_max = {x_max}, d = {d}")
+    x = np.arange(1, x_max + 1, dtype=np.int64)
+    v = x * x + d
     found = []
-    for x in range(1, x_max + 1):
-        v = x * x + d
-        for n in range(3, EXPONENT_MAX + 1):
-            if 1 << n > v:
-                break
-            y = round(v ** (1.0 / n))
-            for c in (y - 1, y, y + 1):
-                if c >= 2 and c ** n == v:
-                    found.append(NagellSolution(x, c, n, d))
-    return sorted(set(found), key=lambda s: (s.n, s.y, s.x))
+    for n in range(3, EXPONENT_MAX + 1):
+        # v ascends; only the values from 2**n on have a root y >= 2, so no
+        # NaN root is cast to int, and the candidate c = 1 cannot match
+        lo = int(np.searchsorted(v, 1 << n))
+        if lo == len(v):
+            break
+        w = v[lo:]
+        c = np.rint(w ** (1.0 / n)).astype(np.int64) + _NEIGHBOURS
+        hit = c ** n == w
+        if hit.any():
+            j, i = np.nonzero(hit)
+            found += [NagellSolution(a, b, n, d) for a, b
+                      in zip(x[lo + i].tolist(), c[j, i].tolist())]
+    return sorted(found, key=lambda s: (s.n, s.y, s.x))
 
 
 def consecutive_powers(limit: int):

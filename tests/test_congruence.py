@@ -144,12 +144,24 @@ def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
         congruence.sqrt_mod_primes(1, np.array([2**31 + 11], dtype=np.int64))
 
 
-@pytest.mark.parametrize("d", [-9, -4, -3, -2, -1, 0, 1, 2, 3, 28, 100])
+@pytest.mark.parametrize("d", [-9, -4, -3, -2, -1, 0, 1, 2, 3, 28, 100,
+                               10**6, 10**10, 10**14])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 10**3, 2 * 10**4])
 def test_prime_bits_match_miller_rabin(d, n_max):
     bits = congruence.prime_bits(n_max, d)
     assert bits.tolist() == \
         [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
+
+
+def test_prime_bits_few_values_skip_the_sieve(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"primes_up_to({limit}) called")
+
+    monkeypatch.setattr(congruence, "primes_up_to", refuse)
+    bits = congruence.prime_bits(10, 10**14)
+    assert bits.dtype == bool
+    assert bits.tolist() == \
+        [arith.is_prime_u64(n * n + 10**14) for n in range(11)]
 
 
 def test_prime_bits_reach():

@@ -51,6 +51,41 @@ def test_matches_naive_oracle():
             nagell.lebesgue_nagell_naive(d, 1000)
 
 
+@pytest.mark.parametrize("d", [1, 7, 28, 100])
+@pytest.mark.parametrize("x_max", [1, 2, 50, 10**4, nagell.NAGELL_NAIVE_X_LIMIT])
+def test_naive_oracle_matches_solver_in_larger_boxes(d, x_max):
+    assert nagell.lebesgue_nagell_naive(d, x_max) == \
+        nagell.lebesgue_nagell_solve(d, x_max)
+
+
+def brute_force(d, x_max):
+    """Every (x, y, n) with x**2 + d = y**n, by trying each y and n."""
+    found = []
+    for x in range(1, x_max + 1):
+        v = x * x + d
+        for n in range(3, nagell.EXPONENT_MAX + 1):
+            y = 2
+            while y ** n <= v:
+                if y ** n == v:
+                    found.append((x, y, n))
+                y += 1
+    return sorted(found, key=lambda s: (s[2], s[1], s[0]))
+
+
+@pytest.mark.parametrize("d", [-3, 0])
+def test_naive_oracle_below_the_solver_range(d):
+    sols = nagell.lebesgue_nagell_naive(d, 200)
+    assert [(s.x, s.y, s.n) for s in sols] == brute_force(d, 200)
+    assert all(s.verify() and s.shift == d for s in sols)
+
+
+def test_naive_oracle_rejects_beyond_int64_bound():
+    with pytest.raises(ValueError):
+        nagell.lebesgue_nagell_naive(1, nagell.NAGELL_NAIVE_X_LIMIT + 1)
+    with pytest.raises(ValueError):
+        nagell.lebesgue_nagell_naive(101, 10)
+
+
 def test_solutions_sorted_and_in_box():
     sols = nagell.lebesgue_nagell_solve(28, 100)
     keys = [(s.n, s.y, s.x) for s in sols]

@@ -68,6 +68,20 @@ def test_shift_bounds():
     assert len(ValueSieve.shift(5, 4, 1).cofactor) == 0
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 1), (1, 3000), (2, 2),
+                                         (9_990, 12_000),
+                                         (10**6 - 500, 10**6 + 500)])
+def test_integers_match_factorize(n_lo, n_hi):
+    sv = ValueSieve.integers(n_lo, n_hi)
+    check_against_factorize(sv, list(range(n_lo, n_hi + 1)))
+
+
+def test_integers_bounds():
+    with pytest.raises(ValueError):
+        ValueSieve.integers(0, 10)
+    assert len(ValueSieve.integers(10, 4).cofactor) == 0
+
+
 def test_hit_that_does_not_divide_raises():
     with pytest.raises(ValueError):
         ValueSieve(np.array([6, 9]), np.array([0, 1]), np.array([2, 2]))
