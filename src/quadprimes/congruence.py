@@ -14,9 +14,9 @@ import numpy as np
 
 from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
 
-# Values per block of ValueSieve.quartic_rows. A block costs a fixed number
-# of numpy passes, so a small one costs little time and bounds the memory of
-# its hit arrays.
+# Most values per block of ValueSieve.quartic_rows, which sieves a longer row
+# in several blocks. A block costs a fixed number of numpy passes, so a small
+# one costs little time and bounds the memory of its hit arrays.
 _ROW_BLOCK = 1 << 16
 
 
@@ -327,23 +327,16 @@ def prime_bits(n_max: int, d: int) -> np.ndarray:
     return bits
 
 
-def _progressions(first: np.ndarray, count: np.ndarray, step) -> np.ndarray:
-    """Concatenation of first[j] + step[j] * arange(count[j]) over every j;
-    step is an array like first, or one int for every j."""
-    start = np.cumsum(count) - count
-    each = np.repeat(step, count) if np.ndim(step) else step
-    return (np.repeat(first - step * start, count)
-            + each * np.arange(count.sum(), dtype=np.int64))
-
-
-def _stepped(root: np.ndarray, step: np.ndarray, lo, hi, offset):
-    """The hits of n = root[j] (mod step[j]) over lo[j] <= n <= hi[j], for
-    every j, as ValueSieve takes them: the positions offset[j] + n - lo[j],
-    and the step of each. lo, hi and offset are arrays like root, or one int
-    for every j."""
+def _stepped(root: np.ndarray, step: np.ndarray, lo: int, hi: int):
+    """The hits of n = root[j] (mod step[j]) over lo <= n <= hi, for every j,
+    as ValueSieve takes them: the positions n - lo, and the step of each.
+    root is an array like step, or one int for every j."""
     first = (root - lo) % step
     count = (hi - lo - first) // step + 1
-    return _progressions(offset + first, count, step), np.repeat(step, count)
+    start = np.cumsum(count) - count
+    each = np.repeat(step, count)
+    return (np.repeat(first - step * start, count)
+            + each * np.arange(count.sum(), dtype=np.int64)), each
 
 
 class ValueSieve:
@@ -363,8 +356,9 @@ class ValueSieve:
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
 
-    The front ends ``shift`` (n**2 + d), ``quartic_rows`` (n**2 + m**4) and
-    ``integers`` (n itself) build the block and, with ``_stepped``, its hits.
+    The front ends ``shift`` (n**2 + d), ``quartic_rows`` (n**2 + m**4, a
+    block of one row m at a time, as a shift with d = m**4) and ``integers``
+    (n itself) build the block and, with ``_stepped``, its hits.
     """
 
     def __init__(self, values: np.ndarray, at: np.ndarray, prime: np.ndarray):
@@ -405,7 +399,7 @@ class ValueSieve:
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
         ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
         step, root = sqrt_mod_primes(d, ps)
-        return cls(n * n + d, *_stepped(root, step, n_lo, n_hi, 0))
+        return cls(n * n + d, *_stepped(root, step, n_lo, n_hi))
 
     @classmethod
     def integers(cls, n_lo: int, n_hi: int) -> "ValueSieve":
@@ -418,16 +412,19 @@ class ValueSieve:
             return cls(none, none, none)
         step = primes_up_to(math.isqrt(n_hi))
         n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        return cls(n, *_stepped(0, step, n_lo, n_hi, 0))
+        return cls(n, *_stepped(0, step, n_lo, n_hi))
 
     @classmethod
     def quartic_rows(cls, x: int):
         """Yield sieves over the values n**2 + m**4 <= x with n, m >= 1, in
-        (m, n) lexicographic order, each over at most _ROW_BLOCK values.
+        (m, n) lexicographic order: each covers one row m and at most
+        _ROW_BLOCK consecutive n, and only a row's last block is shorter.
 
-        For a fixed row m the roots mod p are +-m**2 i_p, with i_p**2 = -1 for
-        p = 1 (mod 4) and i_2 = 1; for p = 3 (mod 4) the root is 0 when p
-        divides m, and there is none otherwise.
+        Row m is the shift n**2 + d with d = m**4. Its roots mod p are
+        +-m**2 i_p, with i_p**2 = -1 for p = 1 (mod 4) and i_2 = 1; for
+        p = 3 (mod 4) the root is 0 when p divides m, and there is none
+        otherwise. They are found once per row and stepped through each block
+        like the roots of shift.
         """
         if x >= 1 << 63:
             raise OverflowError("x exceeds 63 bits")
@@ -436,41 +433,22 @@ class ValueSieve:
         first = np.unique(prime, return_index=True)[1]  # the smaller root
         unit = np.zeros_like(ps)
         unit[np.searchsorted(ps, prime[first])] = root[first]
-        segments = []  # (m, n_lo, n_hi), n_lo <= n_hi
-        size = 0
         m = 1
         while m ** 4 + 1 <= x:
-            top = math.isqrt(x - m ** 4)
-            lo = 1
-            while lo <= top:
-                hi = min(top, lo + _ROW_BLOCK - size - 1)
-                segments.append((m, lo, hi))
-                size += hi - lo + 1
-                lo = hi + 1
-                if size == _ROW_BLOCK:
-                    yield cls._rows(segments, ps, unit)
-                    segments, size = [], 0
+            d = m ** 4
+            # r = m**2 i_p is a root when i_p exists or p divides m, and
+            # p - r is a second one unless 2r = 0 (mod p); prime-major
+            r = m * m % ps * unit % ps
+            keep = np.stack([(unit != 0) | (m % ps == 0), 2 * r % ps != 0], axis=1)
+            roots = np.stack([r, ps - r], axis=1)[keep]
+            step = np.repeat(ps, keep.sum(axis=1))
+            top = math.isqrt(x - d)
+            for lo in range(1, top + 1, _ROW_BLOCK):
+                hi = min(top, lo + _ROW_BLOCK - 1)
+                k = np.searchsorted(step, math.isqrt(hi * hi + d), side="right")
+                n = np.arange(lo, hi + 1, dtype=np.int64)
+                yield cls(n * n + d, *_stepped(roots[:k], step[:k], lo, hi))
             m += 1
-        if segments:
-            yield cls._rows(segments, ps, unit)
-
-    @classmethod
-    def _rows(cls, segments: list, ps: np.ndarray, unit: np.ndarray) -> "ValueSieve":
-        m, lo, hi = (np.array(c, dtype=np.int64) for c in zip(*segments))
-        count = hi - lo + 1
-        offset = np.cumsum(count) - count
-        values = _progressions(lo, count, 1) ** 2 + np.repeat(m ** 4, count)
-        last = np.searchsorted(ps, math.isqrt(int(values.max())), side="right")
-        # per (prime, segment) pair, prime-major: r = m**2 i_p is a root when
-        # i_p exists or p divides m, and p - r is a second one unless
-        # 2r = 0 (mod p)
-        p, i = ps[:last, None], unit[:last, None]
-        r = m * m % p * i % p
-        roots = np.stack([r, p - r], axis=2)
-        keep = np.stack([(i != 0) | (m % p == 0), 2 * r % p != 0], axis=2)
-        j, seg, _ = np.nonzero(keep)
-        return cls(values, *_stepped(roots[keep], ps[j], lo[seg], hi[seg],
-                                     offset[seg]))
 
     def largest_prime(self) -> np.ndarray:
         """Largest prime factor of each value (1 for the value 1)."""

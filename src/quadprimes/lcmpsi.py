@@ -24,7 +24,11 @@ def euler_gamma() -> float:
     """Euler-Mascheroni constant via Euler-Maclaurin on the harmonic sum of
     200 terms; accurate to well beyond 12 digits already at 50."""
     n = 200
-    h = sum(1.0 / k for k in range(1, n + 1))
+    # added left to right, as on every Python: from 3.12 on, the builtin sum
+    # compensates, and its last bits differ
+    h = 0.0
+    for k in range(1, n + 1):
+        h += 1.0 / k
     n2 = float(n) * n
     return (h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n2)
             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
@@ -73,7 +77,10 @@ def psi_f(n: int) -> float:
     _, p, rise = _valuation_rises(n)
     ps, which = np.unique(p, return_inverse=True)
     exps = np.bincount(which, weights=rise)
-    return sum(e * math.log(q) for q, e in zip(ps.tolist(), exps.tolist()))
+    total = 0.0  # left to right, as in euler_gamma
+    for q, e in zip(ps.tolist(), exps.tolist()):
+        total += e * math.log(q)
+    return total
 
 
 def psi_f_direct(n: int) -> float:
@@ -152,14 +159,12 @@ def psi_residual_trend(n_max: int) -> PsiTrace:
     pts = sorted({int(round(100 * (n_max / 100) ** (i / (_TREND_POINTS - 1))))
                   for i in range(_TREND_POINTS)})
     m, p, rise = _valuation_rises(n_max)
-    running = 0.0
-    after = []
-    for r, q in zip(rise.tolist(), p.tolist()):
-        running += r * math.log(q)
-        after.append(running)
+    # np.cumsum adds left to right, like a running sum; math.log, not np.log,
+    # which may differ in the last place
+    after = np.cumsum(rise * np.array([math.log(q) for q in p.tolist()]))
     # every m >= 1 has a rise (m = 1 brings 2), so each reads its last one
     last = np.searchsorted(m, np.arange(n_max + 1), side="right") - 1
-    psi_all = np.array([0.0] + after)[last + 1]
+    psi_all = np.r_[0.0, after][last + 1]
     ns = np.array(pts, dtype=np.float64)
     psi = psi_all[pts]
     residuals = psi - ns * np.log(ns) - B_CONSTANT_REF * ns

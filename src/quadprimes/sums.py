@@ -63,10 +63,10 @@ def lhs_sum(x: float, d: int, alpha: float = 0.5,
 def _expansion(x: float, d: int):
     """Sieve n**2 + d over 2 <= n, n**2 + d <= x, and collect the Mobius support.
 
-    Returns the ValueSieve and, for every squarefree q dividing one of these
-    values (the only moduli with a nonzero progression sum), in ascending q:
-    mu(q), omega(q) and T(x; q, d) = sum of 1/(n sqrt(log n)) over the n with
-    q | n**2 + d, added in ascending n. x is at most SUM_X_LIMIT.
+    Returns, for every squarefree q dividing one of these values (the only
+    moduli with a nonzero progression sum), in ascending q: mu(q), omega(q)
+    and T(x; q, d) = sum of 1/(n sqrt(log n)) over the n with q | n**2 + d,
+    added in ascending n. x is at most SUM_X_LIMIT.
     """
     if x > SUM_X_LIMIT:
         raise ValueError(f"sum cutoff x = {x!r} exceeds {SUM_X_LIMIT}")
@@ -76,7 +76,7 @@ def _expansion(x: float, d: int):
     w = np.array([1.0 / (n * math.sqrt(math.log(n))) for n in range(2, top + 1)])
     qs, first, inv = np.unique(q, return_index=True, return_inverse=True)
     t = np.bincount(inv, w[owner])  # adds in owner (= ascending n) order
-    return sv, qs.tolist(), mu[first].tolist(), om[first].tolist(), t.tolist()
+    return qs.tolist(), mu[first].tolist(), om[first].tolist(), t.tolist()
 
 
 def rhs_mobius_expansion(x: float, d: int) -> float:
@@ -88,7 +88,7 @@ def rhs_mobius_expansion(x: float, d: int) -> float:
     """
     if x < 5:
         return 0.0
-    _, qs, mus, _, ts = _expansion(x, d)
+    qs, mus, _, ts = _expansion(x, d)
     total = 0.0
     for q, mu, t in zip(qs, mus, ts):
         if q > 1:
@@ -122,7 +122,8 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     """Partition the Mobius expansion by q <= x**(1/2 - eps) vs larger q, and
     sub-partition the large part by omega(q) <= / > ceil(log log x).
 
-    Lambda, the squarefree divisors and omega(q) all come from one ValueSieve.
+    The squarefree divisors and omega(q) come from one ValueSieve; the left
+    side is lhs_sum, an independent route through the prime bits.
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
@@ -130,11 +131,8 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     cut = x ** (0.5 - epsilon)
     lhs = small = low = high = 0.0
     if x >= 5:
-        sv, qs, mus, oms, ts = _expansion(x, d)
-        base = sv.prime_power_base()
-        at = np.flatnonzero(base)
-        for n, p in zip((at + 2).tolist(), base[at].tolist()):
-            lhs += math.log(p) / (n * math.log(n) ** 0.5)
+        qs, mus, oms, ts = _expansion(x, d)
+        lhs = lhs_sum(x, d, 0.5)
         for q, mu, om, t in zip(qs, mus, oms, ts):
             if q == 1:
                 continue

@@ -9,6 +9,25 @@ def test_euler_gamma():
     assert lcmpsi.euler_gamma() == pytest.approx(0.5772156649015329, abs=1e-12)
 
 
+def test_float_sums_add_left_to_right():
+    # the builtin sum compensates from Python 3.12 on; these loops do not
+    h = 0.0
+    for k in range(1, 201):
+        h += 1.0 / k
+    n2 = 200.0 * 200
+    gamma = (h - math.log(200) - 0.5 / 200 + 1.0 / (12.0 * n2)
+             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
+    assert lcmpsi.euler_gamma() == gamma
+    best = {}
+    for n in range(1, 301):
+        for p, e in arith.factorize(n * n + 1).parts:
+            best[p] = max(best.get(p, 0), e)
+        total = 0.0
+        for p in sorted(best):
+            total += best[p] * math.log(p)
+        assert lcmpsi.psi_f(n) == total, n
+
+
 def test_psi_small_values():
     # lcm(2) = 2; lcm(2, 5) = 10; lcm(2, 5, 10) = 10; lcm(..., 17) = 170
     assert lcmpsi.psi_f(1) == pytest.approx(math.log(2), rel=1e-12)

@@ -87,14 +87,19 @@ def test_hit_that_does_not_divide_raises():
         ValueSieve(np.array([6, 9]), np.array([0, 1]), np.array([2, 2]))
 
 
-def quartic_values(x: int) -> list:
-    """The values n**2 + m**4 <= x, n, m >= 1, in (m, n) lexicographic order."""
+def quartic_pairs(x: int) -> list:
+    """The (m, n) with n**2 + m**4 <= x, n, m >= 1, in lexicographic order."""
     out = []
     m = 1
     while m ** 4 + 1 <= x:
-        out += [n * n + m ** 4 for n in range(1, math.isqrt(x - m ** 4) + 1)]
+        out += [(m, n) for n in range(1, math.isqrt(x - m ** 4) + 1)]
         m += 1
     return out
+
+
+def quartic_values(x: int) -> list:
+    """The values n**2 + m**4 <= x, n, m >= 1, in (m, n) lexicographic order."""
+    return [n * n + m ** 4 for m, n in quartic_pairs(x)]
 
 
 # No shrink phase: every example sieves up to thousands of blocks, so
@@ -105,6 +110,7 @@ def quartic_values(x: int) -> list:
 @given(x=st.integers(0, 10**5), block=st.integers(16, 3000))
 @example(x=1000, block=1)
 def test_quartic_rows_match_factorize(x, block):
+    pairs = quartic_pairs(x)
     values = quartic_values(x)
     old = congruence._ROW_BLOCK
     congruence._ROW_BLOCK = block
@@ -114,11 +120,17 @@ def test_quartic_rows_match_factorize(x, block):
         congruence._ROW_BLOCK = old
     sizes = [len(sv.cofactor) for sv in sieves]
     assert sum(sizes) == len(values)
-    assert all(s == block for s in sizes[:-1]) and all(s <= block for s in sizes)
+    assert all(1 <= s <= block for s in sizes)
     start = 0
     for sv, size in zip(sieves, sizes):
-        check_against_factorize(sv, values[start : start + size])
-        start += size
+        # one row m, so consecutive n, as the pairs are in (m, n) order; only
+        # a row's last block is short
+        end = start + size
+        row = pairs[start][0]
+        assert all(m == row for m, _ in pairs[start:end])
+        assert size == block or end == len(pairs) or pairs[end][0] != row
+        check_against_factorize(sv, values[start:end])
+        start = end
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,19 +214,25 @@ def test_expansion_is_bit_identical_to_loop(x, d):
 
 
 def test_psi_trend_is_bit_identical_to_loop():
-    n_max = 3000
+    # up to the n of verify's psi-slope check (2 * 10**4) and of the values
+    # benchmark (5 * 10**4); each trace reads a prefix of the same loop
+    n_top = 5 * 10**4
     best = {}
     running = 0.0
     want = [0.0]
-    for m in range(1, n_max + 1):
+    for m in range(1, n_top + 1):
         for p, e in arith.factorize(m * m + 1).parts:
             prev = best.get(p, 0)
             if e > prev:
                 best[p] = e
                 running += (e - prev) * math.log(p)
         want.append(running)
-    tr = lcmpsi.psi_residual_trend(n_max)
-    assert tr.psi == tuple(want[n] for n in tr.ns)
+    for n_max in (3000, 2 * 10**4, n_top):
+        tr = lcmpsi.psi_residual_trend(n_max)
+        assert tr.psi == tuple(want[n] for n in tr.ns)
+        fit_n = np.arange(n_max // 2, n_max + 1, dtype=np.float64)
+        fit_y = np.array(want[n_max // 2 : n_max + 1]) - fit_n * np.log(fit_n)
+        assert tr.fitted_slope == float(np.polyfit(fit_n, fit_y, 1)[0])
 
 
 def test_dyadic_split_builds_no_spf_table(monkeypatch):
