@@ -161,8 +161,8 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     """Sum of 1/(n sqrt(log n)) over n >= 2 with n**2 + d <= x and q | n**2 + d.
 
     Qualifying n are enumerated by stepping each root of the congruence by q.
-    The estimate integrates the decreasing summand per residue class; the
-    error bound is rho(q) times the first summand.
+    The estimate integrates the decreasing summand per residue class, from
+    the class's first term; the error bound is rho(q) times the first summand.
     """
     rs = roots_mod(q, d)
     top = _n_limit(x, d)
@@ -177,8 +177,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
         f = ((s - r) / q) % 1.0
         last = s - q * f
         if first <= top:
-            lo = max(r, 2)
-            estimate += (2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(lo)))
+            estimate += (2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(first)))
     if not ns:
         return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
     ns.sort()

@@ -3,13 +3,15 @@
 Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
 Each check is a pure function of the suite parameters alone and builds the
-tables it reads. The checks run one after another in a single process, so the
-report is deterministic.
+tables it reads, so the checks can run at once: run_suite forks one child
+process per check, as many at a time as there are usable CPUs, and puts the
+results back in definition order. The report is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -357,18 +359,81 @@ def _validate(p: SuiteParams) -> None:
                              f"got {name} = {getattr(p, name)!r}")
 
 
-def run_suite(params: SuiteParams) -> VerificationReport:
-    """Run every check in definition order and time each call; the report
-    content is a function of ``params`` alone (timings aside).
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Every field is checked before the first check runs: one out of range
-    (NaN included) raises ValueError.
-    """
-    _validate(params)
-    checks = []
-    for fn in _CHECKS:
+
+def _run_check(fn, params: SuiteParams, conn) -> None:
+    """Child side of run_suite: time one check and send back its result, or
+    the exception it raised with its traceback as text."""
+    try:
         t0 = time.perf_counter()
         result = fn(params)
         result.ms = (time.perf_counter() - t0) * 1000.0
-        checks.append(result)
-    return VerificationReport(checks=checks)
+        conn.send((result, None))
+    except Exception as exc:
+        import traceback
+        conn.send((exc, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def run_suite(params: SuiteParams) -> VerificationReport:
+    """Run every check in its own child process and return the results in
+    definition order; the report content is a function of ``params`` alone
+    (timings aside).
+
+    Children are forked (the platform's default start method where fork does
+    not exist) in definition order, at most one per usable CPU at a time, so
+    each starts from the parent's image and no check inherits another's
+    tables. Each child times its own call, so ``ms`` is the check's wall time.
+
+    Every field is checked before the first check runs: one out of range
+    (NaN included) raises ValueError. A check that raises re-raises the same
+    exception here; a child that exits without a result raises RuntimeError.
+    """
+    _validate(params)
+    # imported here, as scipy is in primes.kappa_quadrature: the other
+    # subcommands never pay for it
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    slots = _usable_cpus()
+    todo = list(enumerate(_CHECKS))
+    results = [None] * len(todo)
+    running = {}  # reading end -> (index, check, process)
+    try:
+        while todo or running:
+            while todo and len(running) < slots:
+                i, fn = todo.pop(0)
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_run_check, args=(fn, params, writer))
+                proc.start()
+                writer.close()  # the child's death now reads as EOF
+                running[reader] = (i, fn, proc)
+            for reader in wait(list(running)):
+                i, fn, proc = running.pop(reader)
+                try:
+                    result, tb = reader.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"check {fn.__name__} exited with code "
+                        f"{proc.exitcode} before sending a result") from None
+                finally:
+                    reader.close()
+                proc.join()
+                if tb is not None:
+                    raise result from Exception(f"in the check's process:\n{tb}")
+                results[i] = result
+    finally:
+        for reader, (_, _, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            reader.close()
+    return VerificationReport(checks=results)
