@@ -171,25 +171,29 @@ def factorize(n: int) -> Factorization:
 
 
 # Largest limit primes_up_to accepts. At 10**8 the sieve alone peaks at
-# 168 MiB RSS (the bool mask and 5.76 M int64 primes) and takes about 1.8 s;
-# `constants --prime-bound 1e8` peaks at 256 MiB and takes about 4.6 s.
+# 165 MiB RSS (the odd-number mask and 5.76 M int64 primes) and takes about
+# 0.9 s; `constants --prime-bound 1e8` peaks at 256 MiB and takes about 3.6 s.
 PRIME_SIEVE_LIMIT = 10**8
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit via a plain boolean Eratosthenes sieve; limit is
-    at most PRIME_SIEVE_LIMIT."""
+    """All primes <= limit via an Eratosthenes sieve over the odd numbers,
+    with 2 prepended; limit is at most PRIME_SIEVE_LIMIT."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > PRIME_SIEVE_LIMIT:
         raise ValueError(
             f"prime sieve limit {limit} exceeds {PRIME_SIEVE_LIMIT}")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+    # index i stands for 2i + 1; an odd p strikes its odd multiples from p**2,
+    # index p**2 // 2, which are p indices apart
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(
+        np.int64, copy=False)
 
 
 class FactorSieve:

@@ -356,9 +356,11 @@ class ValueSieve:
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
 
-    The front ends ``shift`` (n**2 + d), ``quartic_rows`` (n**2 + m**4, a
-    block of one row m at a time, as a shift with d = m**4) and ``integers``
-    (n itself) build the block and, with ``_stepped``, its hits.
+    The front ends build the block and, with ``_stepped``, its hits:
+    ``shift_blocks`` (n**2 + d in blocks of consecutive n; ``shift`` is its
+    one-block case) and ``quartic_rows`` (n**2 + m**4, blocks of one row m at
+    a time, as a shift with d = m**4) through one block loop, ``_blocks``;
+    ``integers`` (n itself) in one block.
     """
 
     def __init__(self, values: np.ndarray, at: np.ndarray, prime: np.ndarray):
@@ -385,21 +387,42 @@ class ValueSieve:
                       + (cofactor > 1)).astype(np.uint8)
 
     @classmethod
-    def shift(cls, n_lo: int, n_hi: int, d: int) -> "ValueSieve":
-        """Sieve n**2 + d for 0 <= n_lo <= n <= n_hi; position i holds n_lo + i."""
+    def _blocks(cls, c: int, root: np.ndarray, step: np.ndarray, lo: int,
+                hi: int, size: int):
+        """Yield sieves over n**2 + c for lo <= n <= hi, in order, each over at
+        most size consecutive n. step is prime-major and ascending; a block
+        steps only the roots whose prime is <= isqrt of its largest value."""
+        for a in range(lo, hi + 1, size):
+            b = min(hi, a + size - 1)
+            k = np.searchsorted(step, math.isqrt(b * b + c), side="right")
+            n = np.arange(a, b + 1, dtype=np.int64)
+            yield cls(n * n + c, *_stepped(root[:k], step[:k], a, b))
+
+    @classmethod
+    def shift_blocks(cls, n_lo: int, n_hi: int, d: int, size: int):
+        """Yield sieves over n**2 + d for 0 <= n_lo <= n <= n_hi, in order,
+        each over at most size consecutive n; the roots mod every prime up to
+        isqrt(n_hi**2 + d) are found once."""
         if n_hi < n_lo:
-            none = np.empty(0, dtype=np.int64)
-            return cls(none, none, none)
+            return
         if n_hi * n_hi + abs(d) >= 1 << 63:
             raise OverflowError("n**2 + d exceeds 63 bits")
         if n_lo < 0:
             raise ValueError("n_lo must be >= 0")
         if n_lo * n_lo + d < 1:
             raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
-        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
         ps = primes_up_to(math.isqrt(n_hi * n_hi + d))
         step, root = sqrt_mod_primes(d, ps)
-        return cls(n * n + d, *_stepped(root, step, n_lo, n_hi))
+        yield from cls._blocks(d, root, step, n_lo, n_hi, size)
+
+    @classmethod
+    def shift(cls, n_lo: int, n_hi: int, d: int) -> "ValueSieve":
+        """Sieve n**2 + d for 0 <= n_lo <= n <= n_hi in one block; position i
+        holds n_lo + i."""
+        if n_hi < n_lo:
+            none = np.empty(0, dtype=np.int64)
+            return cls(none, none, none)
+        return next(cls.shift_blocks(n_lo, n_hi, d, n_hi - n_lo + 1))
 
     @classmethod
     def integers(cls, n_lo: int, n_hi: int) -> "ValueSieve":
@@ -423,8 +446,8 @@ class ValueSieve:
         Row m is the shift n**2 + d with d = m**4. Its roots mod p are
         +-m**2 i_p, with i_p**2 = -1 for p = 1 (mod 4) and i_2 = 1; for
         p = 3 (mod 4) the root is 0 when p divides m, and there is none
-        otherwise. They are found once per row and stepped through each block
-        like the roots of shift.
+        otherwise. They are found once per row and stepped through its blocks
+        by the loop of shift_blocks.
         """
         if x >= 1 << 63:
             raise OverflowError("x exceeds 63 bits")
@@ -442,12 +465,8 @@ class ValueSieve:
             keep = np.stack([(unit != 0) | (m % ps == 0), 2 * r % ps != 0], axis=1)
             roots = np.stack([r, ps - r], axis=1)[keep]
             step = np.repeat(ps, keep.sum(axis=1))
-            top = math.isqrt(x - d)
-            for lo in range(1, top + 1, _ROW_BLOCK):
-                hi = min(top, lo + _ROW_BLOCK - 1)
-                k = np.searchsorted(step, math.isqrt(hi * hi + d), side="right")
-                n = np.arange(lo, hi + 1, dtype=np.int64)
-                yield cls(n * n + d, *_stepped(roots[:k], step[:k], lo, hi))
+            yield from cls._blocks(d, roots, step, 1, math.isqrt(x - d),
+                                   _ROW_BLOCK)
             m += 1
 
     def largest_prime(self) -> np.ndarray:

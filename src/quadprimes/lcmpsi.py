@@ -34,34 +34,63 @@ def euler_gamma() -> float:
             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
 
 
-# Largest n_max that _valuation_rises accepts. Its hit arrays take about
-# 300 B per n: the psi trend at this size peaks at 617 MiB RSS.
+# Largest n_max that _valuation_rises accepts. The rises stream block by
+# block, and psi_residual_trend keeps psi_f at every n (8 B per n) for its
+# slope fit: at this size it peaks at 123 MiB RSS and takes about 3 s. Time
+# bounds it, not memory: every block steps the roots of every prime below
+# its top, so 10**7 takes 38 s (and 491 MiB).
 PSI_N_LIMIT = 2 * 10**6
+
+# Values n per block of _valuation_rises.
+_PSI_BLOCK = 1 << 12
 
 
 def _valuation_rises(n_max: int):
-    """(m, p, rise) for each prime p whose maximal valuation over
+    """Yield, for each block of consecutive m in 1..n_max in order, the
+    arrays (m, p, rise): each prime p whose maximal valuation over
     1**2 + 1, ..., m**2 + 1 is larger than over the values before m, with the
-    rise in exponent; ordered by m, then p (the order psi_f(m) grows in).
-    n_max is at most PSI_N_LIMIT."""
+    rise in exponent, ordered by m, then p (the order psi_f(m) grows in).
+    n_max is at most PSI_N_LIMIT.
+
+    The state carried from block to block is best[p], the largest exponent
+    so far of each prime p <= n_max; every sieved prime is one. A cofactor q
+    of m**2 + 1 exceeds every prime sieved in its block, so q > m and
+    q**2 > m**2 + 1: q divides m**2 + 1 once, and the roots of n**2 + 1 mod q
+    are m and q - m. So q rises at m exactly when m is the smaller root,
+    2m <= q (equal only for q = 2 at m = 1), and best[q] records it for the
+    later blocks that sieve q.
+    """
     if n_max > PSI_N_LIMIT:
         raise ValueError(f"psi index bound {n_max} exceeds {PSI_N_LIMIT}")
-    sv = ValueSieve.shift(1, n_max, 1)
-    big = np.flatnonzero(sv.cofactor > 1)
-    m = np.concatenate([sv.hit_index, big]) + 1
-    p = np.concatenate([sv.hit_prime, sv.cofactor[big]])
-    e = np.concatenate([sv.hit_exp, np.ones(len(big), np.uint8)]).astype(np.int64)
-    order = np.lexsort((m, p))
-    m, p, e = m[order], p[order], e[order]
-    first = np.r_[True, p[1:] != p[:-1]]
-    group = np.cumsum(first)
-    # running maximum of e within each prime's group (e < 64)
-    best = np.maximum.accumulate(group * 64 + e) - group * 64
-    prev = np.r_[0, best[:-1]]
-    prev[first] = 0
-    up = np.flatnonzero(e > prev)
-    order = np.lexsort((p[up], m[up]))
-    return m[up][order], p[up][order], (e - prev)[up][order]
+    best = np.zeros(n_max + 1, dtype=np.uint8)
+    lo = 1
+    for sv in ValueSieve.shift_blocks(1, n_max, 1, _PSI_BLOCK):
+        order = np.lexsort((sv.hit_index, sv.hit_prime))
+        m = sv.hit_index[order] + lo
+        p = sv.hit_prime[order]
+        e = sv.hit_exp[order].astype(np.int64)
+        # (in a block without hits the one-element pads broadcast to none)
+        first = p != np.concatenate(([0], p[:-1]))
+        last = p != np.concatenate((p[1:], [0]))
+        group = np.cumsum(first) - 1
+        seed = best[p]
+        # running maximum of e within each prime's group (e < 64), from the
+        # maximum of the blocks before
+        run = np.maximum(np.maximum.accumulate(group * 64 + e) - group * 64,
+                         seed)
+        prev = np.where(first, seed, np.concatenate(([0], run[:-1])))
+        best[p[last]] = run[last]
+        up = np.flatnonzero(e > prev)
+        big = np.flatnonzero(sv.cofactor > 1)
+        q = sv.cofactor[big]
+        best[q[q <= n_max]] = 1
+        new = 2 * (big + lo) <= q
+        m = np.concatenate([m[up], big[new] + lo])
+        p = np.concatenate([p[up], q[new]])
+        rise = np.concatenate([(e - prev)[up], np.ones(new.sum(), np.int64)])
+        order = np.lexsort((p, m))
+        yield m[order], p[order], rise[order]
+        lo += len(sv.cofactor)
 
 
 def _log_big(n: int) -> float:
@@ -74,7 +103,7 @@ def psi_f(n: int) -> float:
     if n < 1:
         raise ValueError("psi_f requires n >= 1")
     # the rises of each prime add up to its maximal valuation
-    _, p, rise = _valuation_rises(n)
+    _, p, rise = (np.concatenate(a) for a in zip(*_valuation_rises(n)))
     ps, which = np.unique(p, return_inverse=True)
     exps = np.bincount(which, weights=rise)
     total = 0.0  # left to right, as in euler_gamma
@@ -158,13 +187,21 @@ def psi_residual_trend(n_max: int) -> PsiTrace:
         raise ValueError("psi_residual_trend requires n_max >= 100")
     pts = sorted({int(round(100 * (n_max / 100) ** (i / (_TREND_POINTS - 1))))
                   for i in range(_TREND_POINTS)})
-    m, p, rise = _valuation_rises(n_max)
-    # np.cumsum adds left to right, like a running sum; math.log, not np.log,
-    # which may differ in the last place
-    after = np.cumsum(rise * np.array([math.log(q) for q in p.tolist()]))
-    # every m >= 1 has a rise (m = 1 brings 2), so each reads its last one
-    last = np.searchsorted(m, np.arange(n_max + 1), side="right") - 1
-    psi_all = np.r_[0.0, after][last + 1]
+    psi_all = np.zeros(n_max + 1)
+    top, carry = 0, 0.0  # psi_all[: top + 1] is filled; carry is psi_f(top)
+    for m, p, rise in _valuation_rises(n_max):
+        if not len(m):  # a block can bring no rise: m = 3 brings none
+            continue
+        # np.cumsum adds left to right, like a running sum, from the carry
+        # (carry + np.cumsum(...) would add in another order); math.log, not
+        # np.log, which may differ in the last place
+        logs = np.array([math.log(q) for q in p.tolist()])
+        after = np.cumsum(np.r_[carry, rise * logs])
+        # each n reads the last rise at or before it
+        ns = np.arange(top + 1, m[-1] + 1)
+        psi_all[top + 1 : m[-1] + 1] = after[np.searchsorted(m, ns, side="right")]
+        top, carry = int(m[-1]), after[-1]
+    psi_all[top + 1 :] = carry
     ns = np.array(pts, dtype=np.float64)
     psi = psi_all[pts]
     residuals = psi - ns * np.log(ns) - B_CONSTANT_REF * ns

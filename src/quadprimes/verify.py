@@ -115,10 +115,32 @@ def _check_rho_multiplicative(p: SuiteParams) -> CheckResult:
 
 
 def _check_rho_omega_bound(p: SuiteParams) -> CheckResult:
+    """rho(q) <= 2**(omega(q) + 1) * s(d) for every q, where s(d)**2 is the
+    largest square dividing |d| and d != 0.
+
+    rho is multiplicative and s(d) is the product of p**t over the primes p,
+    t = v_p(d) // 2, so it is enough that rho(p**e) <= 2 * p**t for odd p and
+    rho(2**e) <= 4 * 2**t. Count the n mod p**e with n**2 = -d (mod p**e),
+    v = v_p(d):
+
+    - e <= v: then p**e divides n**2, that is p**ceil(e/2) divides n, for
+      p**(e // 2) <= p**t residues n.
+    - e > v: then v_p(n**2) = v, so v = 2t and n = p**t u with p not
+      dividing u, and u**2 = -d / p**v (mod p**(e - v)). By Hensel's lemma a
+      unit has at most 2 square roots mod a power of an odd prime, and at
+      most 4 mod a power of 2. Each root mod p**(e - v) is p**t residues u
+      mod p**(e - t), and u mod p**(e - t) gives n mod p**e.
+
+    The bound is reached, for example by rho(2**6) = 4 and 8 at d = 7 and 28.
+    For d = 0, n**2 is reducible and rho(p**e) = p**(e // 2) is unbounded:
+    no s(d) exists, the check takes s = 1, and it fails.
+    """
     top = min(int(p.x), 100_000)
     rhos = congruence.rho_table(top, p.d)[1:]
     omegas = stats.omega_sieve(top)[1:].astype(np.int64)
-    bad = int((rhos > 2 ** (omegas + 2)).sum())
+    parts = arith.factorize(abs(p.d)).parts if p.d else ()
+    s = math.prod(q ** (e // 2) for q, e in parts)
+    bad = int((rhos > 2 ** (omegas + 1) * s).sum())
     return _result("rho-omega-bound", "quad_congruence",
                    {"q_max": top, "d": p.d}, bad, 0, 0.0, bad == 0)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from quadprimes import arith
@@ -127,3 +128,21 @@ def test_sieve_spf_invariants():
 def test_primes_up_to_rejects_beyond_limit():
     with pytest.raises(ValueError, match="exceeds"):
         arith.primes_up_to(arith.PRIME_SIEVE_LIMIT + 1)
+
+
+def plain_sieve(limit: int) -> np.ndarray:
+    """Every integer's mask, struck by every p <= isqrt(limit)."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+@pytest.mark.parametrize("limits", [range(2000), [10**6]])
+def test_primes_up_to_matches_plain_sieve(limits):
+    for limit in limits:
+        got = arith.primes_up_to(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, plain_sieve(limit)), limit

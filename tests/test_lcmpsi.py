@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from quadprimes import arith, lcmpsi
@@ -58,15 +59,49 @@ def test_max_valuation_examples():
     assert lcmpsi.max_valuation(7, 10**6) == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 57, 300, 2000])
-def test_valuation_rises_sum_to_max_valuation(n):
-    _, ps, rises = lcmpsi._valuation_rises(n)
+def joined_rises(n: int):
+    """The (m, p, rise) arrays of every block of _valuation_rises(n), joined."""
+    return [np.concatenate(a) for a in zip(*lcmpsi._valuation_rises(n))]
+
+
+def assert_rises_sum_to_max_valuation(ps, rises, n):
     total = {}
     for p, r in zip(ps.tolist(), rises.tolist()):
         total[p] = total.get(p, 0) + r
     # every prime up to n, and the cofactor primes above it
     for p in set(arith.primes_up_to(n).tolist()) | set(total):
         assert total.get(p, 0) == lcmpsi.max_valuation(p, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 57, 300, 2000])
+def test_valuation_rises_sum_to_max_valuation(n):
+    _, ps, rises = joined_rises(n)
+    assert_rises_sum_to_max_valuation(ps, rises, n)
+
+
+def trace_bits(tr):
+    return (tr.ns, [v.hex() for v in tr.psi], [v.hex() for v in tr.residuals],
+            tr.B_used.hex(), tr.fitted_slope.hex())
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_streamed_rises_match_one_block(block, monkeypatch):
+    n = 2000  # below the default block, so that is one block
+    want = joined_rises(n)
+    trace = trace_bits(lcmpsi.psi_residual_trend(n))
+    monkeypatch.setattr(lcmpsi, "_PSI_BLOCK", block)
+    assert len(list(lcmpsi._valuation_rises(n))) == -(-n // block)
+    got = joined_rises(n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert trace_bits(lcmpsi.psi_residual_trend(n)) == trace
+    m, ps, rises = got
+    assert_rises_sum_to_max_valuation(ps, rises, n)
+    # Some prime q first divides m**2 + 1 as the cofactor (its block ends
+    # below q) and is sieved in a later block, at m + q: only the exponent
+    # carried from the first block keeps that hit from rising again.
+    block_top = np.minimum(-(-m // block) * block, n)
+    assert ((block_top < ps) & (m + ps <= n)).any()
 
 
 def test_max_valuation_matches_trial():

@@ -56,6 +56,25 @@ def test_shift_window_matches_factorize(d, n_lo, length):
     check_against_factorize(sv, [n * n + d for n in range(n_lo, n_hi + 1)])
 
 
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(-100, 100), n_lo=st.integers(0, 500),
+       length=st.integers(0, 500), size=st.integers(1, 600))
+@example(d=-24, n_lo=5, length=40, size=1)
+def test_shift_blocks_match_factorize(d, n_lo, length, size):
+    # a block steps only the roots of the primes up to the root of its own
+    # largest value; at d = -24 the block n = 7 holds 7**2 - 24 = 5**2
+    if d < 1:
+        n_lo = max(n_lo, math.isqrt(-d) + 1)
+    n_hi = n_lo + length - 1
+    start = n_lo
+    for sv in ValueSieve.shift_blocks(n_lo, n_hi, d, size):
+        end = min(n_hi, start + size - 1)
+        assert len(sv.cofactor) == end - start + 1
+        check_against_factorize(sv, [n * n + d for n in range(start, end + 1)])
+        start = end + 1
+    assert start == n_hi + 1
+
+
 def test_shift_bounds():
     with pytest.raises(ValueError):
         ValueSieve.shift(1, 10, -1)  # 1**2 - 1 = 0

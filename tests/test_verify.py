@@ -67,6 +67,15 @@ def test_progression_estimate_bound_holds_for_every_shift(d):
     assert (result.computed, result.status) == (0, PASS)
 
 
+@pytest.mark.parametrize("d", range(1, 101))
+def test_rho_omega_bound_holds_for_every_shift(d):
+    """rho(q) <= 2**(omega(q) + 1) * s(d) for q <= 2 * 10**4, s(d)**2 the
+    largest square dividing d. The bound of 2**(omega(q) + 2) alone failed at
+    d = 25, 81 and 100."""
+    result = verify._check_rho_omega_bound(SuiteParams(x=2e4, d=d))
+    assert (result.computed, result.status) == (0, PASS)
+
+
 _SMALL = SuiteParams(x=1e4, prime_bound=100_000, fi_x=1e6)
 
 
