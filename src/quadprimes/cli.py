@@ -87,11 +87,13 @@ def _cmd_primes(args) -> int:
 def _cmd_constants(args) -> int:
     hl = primes.hardy_littlewood_constant(args.d, args.prime_bound)
     b = lcmpsi.B_constant(args.prime_bound)
+    kq = primes.kappa_quadrature()
+    kg = primes.kappa_gamma()
     rows = [
         (hl.name, hl.truncation_bound, hl.raw, hl.averaged, hl.reference),
         (b.name, b.truncation_bound, b.raw, b.averaged, b.reference),
-        ("kappa_quadrature", 0, primes.kappa_quadrature(), primes.kappa_quadrature(), None),
-        ("kappa_gamma", 0, primes.kappa_gamma(), primes.kappa_gamma(), None),
+        ("kappa_quadrature", 0, kq, kq, None),
+        ("kappa_gamma", 0, kg, kg, None),
     ]
     _write(_table(["name", "truncation_bound", "raw", "averaged", "reference"],
                   rows, args.format), args.out)

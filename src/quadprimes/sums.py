@@ -28,6 +28,13 @@ def _n_limit(x: float, d: int) -> int:
     return math.isqrt(int(x) - d)
 
 
+def _check_cutoff(x: float):
+    """ValueError unless the cutoff x is finite: NaN passes every
+    comparison against it, and infinity has no last n."""
+    if not math.isfinite(x):
+        raise ValueError(f"sum cutoff x = {x!r} is not finite")
+
+
 def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
     """(n, Lambda(n**2 + d)) for every n_lo <= n <= n_max where it is
     nonzero, ascending n: log(n**2 + d) where the value is prime, log p where
@@ -50,8 +57,9 @@ def lhs_sum(x: float, d: int, alpha: float = 0.5,
 
     ``sieve`` is not read; callers still pass it positionally.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:  # NaN included
+        raise ValueError(f"alpha = {alpha!r} must be positive")
+    _check_cutoff(x)
     if x < 5:
         return 0.0
     total = 0.0
@@ -127,6 +135,7 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
+    _check_cutoff(x)
     threshold = math.ceil(math.log(math.log(x))) if x > math.e else 1
     cut = x ** (0.5 - epsilon)
     lhs = small = low = high = 0.0

@@ -418,8 +418,7 @@ def run_suite(params: SuiteParams) -> VerificationReport:
     exception here; a child that exits without a result raises RuntimeError.
     """
     _validate(params)
-    # imported here, as scipy is in primes.kappa_quadrature: the other
-    # subcommands never pay for it
+    # imported here, so that the other subcommands never pay for it
     import multiprocessing
     from multiprocessing.connection import wait
 

@@ -78,6 +78,19 @@ def test_sum_beyond_63_bits_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--x", "nan"], "x = nan"),
+    (["--x", "inf"], "x = inf"),
+    (["--x=-inf"], "x = -inf"),
+    (["--x", "1e5", "--alpha", "nan"], "alpha = nan"),
+])
+def test_sum_non_finite_input_is_usage_error(capsys, argv, names):
+    code, out, err = run_cli(capsys, "sum", *argv)
+    assert code == 2
+    assert out == ""
+    assert names in err
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(capsys, "constants", "--prime-bound", "1e5",
                            "--format", "json")
