@@ -32,6 +32,13 @@ _MR_WITNESSES = (
 )
 
 
+def _check_cutoff(x: float):
+    """ValueError unless the cutoff x of a sum or count is finite: NaN passes
+    every comparison against it, and infinity has no last n."""
+    if not math.isfinite(x):
+        raise ValueError(f"cutoff x = {x!r} is not finite")
+
+
 def is_prime_u64(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64 (fixed Miller-Rabin witnesses)."""
     if n < 2:

@@ -36,9 +36,9 @@ def euler_gamma() -> float:
 
 # Largest n_max that _valuation_rises accepts. The rises stream block by
 # block, and psi_residual_trend keeps psi_f at every n (8 B per n) for its
-# slope fit: at this size it peaks at 123 MiB RSS and takes about 3 s. Time
+# slope fit: at this size it peaks at 124 MiB RSS and takes 2.8-2.9 s. Time
 # bounds it, not memory: every block steps the roots of every prime below
-# its top, so 10**7 takes 38 s (and 491 MiB).
+# its top, so 10**7 takes 36 s (and 491 MiB).
 PSI_N_LIMIT = 2 * 10**6
 
 # Values n per block of _valuation_rises.
@@ -52,42 +52,34 @@ def _valuation_rises(n_max: int):
     rise in exponent, ordered by m, then p (the order psi_f(m) grows in).
     n_max is at most PSI_N_LIMIT.
 
-    The state carried from block to block is best[p], the largest exponent
-    so far of each prime p <= n_max; every sieved prime is one. A cofactor q
-    of m**2 + 1 exceeds every prime sieved in its block, so q > m and
-    q**2 > m**2 + 1: q divides m**2 + 1 once, and the roots of n**2 + 1 mod q
-    are m and q - m. So q rises at m exactly when m is the smaller root,
-    2m <= q (equal only for q = 2 at m = 1), and best[q] records it for the
-    later blocks that sieve q.
+    No state passes from block to block, because p**k first divides some
+    m**2 + 1 at its smaller root: the one m with p**k | m**2 + 1 and
+    2m <= p**k. Proof: the roots of x**2 = -1 (mod p**k) are closed under
+    x -> p**k - x. For p = 3 (mod 4) there are none; for p = 2 only k = 1
+    has one, m = 1, the equal case; for p = 1 (mod 4) there are exactly two,
+    and p**k is odd, so one lies below p**k / 2 and the other above. So p
+    rises at m by the number of k <= v_p(m**2 + 1) with 2m <= p**k, the top
+    ones. A cofactor q of m**2 + 1 exceeds every prime sieved in its block,
+    so q**2 > m**2 + 1: it is a hit of exponent 1. Every p**k divides a
+    value at most n_max**2 + 1 < 2**63, so the powers fit an int64.
     """
     if n_max > PSI_N_LIMIT:
         raise ValueError(f"psi index bound {n_max} exceeds {PSI_N_LIMIT}")
-    best = np.zeros(n_max + 1, dtype=np.uint8)
     lo = 1
     for sv in ValueSieve.shift_blocks(1, n_max, 1, _PSI_BLOCK):
-        order = np.lexsort((sv.hit_index, sv.hit_prime))
-        m = sv.hit_index[order] + lo
-        p = sv.hit_prime[order]
-        e = sv.hit_exp[order].astype(np.int64)
-        # (in a block without hits the one-element pads broadcast to none)
-        first = p != np.concatenate(([0], p[:-1]))
-        last = p != np.concatenate((p[1:], [0]))
-        group = np.cumsum(first) - 1
-        seed = best[p]
-        # running maximum of e within each prime's group (e < 64), from the
-        # maximum of the blocks before
-        run = np.maximum(np.maximum.accumulate(group * 64 + e) - group * 64,
-                         seed)
-        prev = np.where(first, seed, np.concatenate(([0], run[:-1])))
-        best[p[last]] = run[last]
-        up = np.flatnonzero(e > prev)
         big = np.flatnonzero(sv.cofactor > 1)
-        q = sv.cofactor[big]
-        best[q[q <= n_max]] = 1
-        new = 2 * (big + lo) <= q
-        m = np.concatenate([m[up], big[new] + lo])
-        p = np.concatenate([p[up], q[new]])
-        rise = np.concatenate([(e - prev)[up], np.ones(new.sum(), np.int64)])
+        m = np.concatenate([sv.hit_index, big]) + lo
+        p = np.concatenate([sv.hit_prime, sv.cofactor[big]])
+        pk = np.concatenate([sv.hit_prime ** sv.hit_exp, sv.cofactor[big]])
+        up = np.flatnonzero(2 * m <= pk)  # the hit rises at all
+        m, p, pk = m[up], p[up], pk[up]
+        rise = np.zeros(len(m), np.int64)
+        on = np.arange(len(m))
+        # k = v_p, v_p - 1, ... while 2m <= p**k, which stops above p**0 = 1
+        while len(on):
+            rise[on] += 1
+            pk[on] //= p[on]
+            on = on[2 * m[on] <= pk[on]]
         order = np.lexsort((p, m))
         yield m[order], p[order], rise[order]
         lo += len(sv.cofactor)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import _check_cutoff, primes_up_to
 from .congruence import ValueSieve, prime_bits, quadratic_characters
 
 _U64_MAX = (1 << 64) - 1
@@ -47,7 +47,8 @@ def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
 
 def pi_f(x: float, d: int) -> int:
     """Count of primes of the form n**2 + d <= x, n >= 1. ValueError when x
-    is beyond the prime bits' reach."""
+    is not finite or beyond the prime bits' reach."""
+    _check_cutoff(x)
     if x < d + 1:
         return 0
     return len(_prime_members(math.isqrt(int(x) - d), d))
@@ -148,6 +149,7 @@ class FouvryIwaniecResult:
 def fouvry_iwaniec_sum(x: float) -> FouvryIwaniecResult:
     """Sum of Lambda(n**2 + m**4) over n, m >= 1 with n**2 + m**4 <= x,
     against the predicted (4 kappa / pi) x**(3/4)."""
+    _check_cutoff(x)
     total = 0.0
     for sv in ValueSieve.quartic_rows(int(x)):
         base = sv.prime_power_base()

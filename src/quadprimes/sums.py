@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve
+from .arith import FactorSieve, _check_cutoff
 from .congruence import ValueSieve, prime_bits, roots_mod
 from .primes import prime_power_scan
 
@@ -26,13 +26,6 @@ def _n_limit(x: float, d: int) -> int:
     if x < d + 1:
         return 0
     return math.isqrt(int(x) - d)
-
-
-def _check_cutoff(x: float):
-    """ValueError unless the cutoff x is finite: NaN passes every
-    comparison against it, and infinity has no last n."""
-    if not math.isfinite(x):
-        raise ValueError(f"sum cutoff x = {x!r} is not finite")
 
 
 def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
@@ -94,6 +87,7 @@ def rhs_mobius_expansion(x: float, d: int) -> float:
     sum runs over that support set, in ascending q. The values come from one
     ValueSieve, in O(sqrt x) memory.
     """
+    _check_cutoff(x)
     if x < 5:
         return 0.0
     qs, mus, _, ts = _expansion(x, d)
@@ -173,6 +167,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     The estimate integrates the decreasing summand per residue class, from
     the class's first term; the error bound is rho(q) times the first summand.
     """
+    _check_cutoff(x)
     rs = roots_mod(q, d)
     top = _n_limit(x, d)
     if not rs.roots or top < 2:

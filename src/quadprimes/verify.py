@@ -284,10 +284,21 @@ def _check_fouvry_iwaniec(p: SuiteParams) -> CheckResult:
 
 
 def _check_psi_vs_lcm(p: SuiteParams) -> CheckResult:
-    worst = 0.0
+    """psi_f(n) against psi_f_direct(n) for every n <= 300, both grown along
+    one pass: the exponents from the rises, the lcm one value at a time."""
+    rises = {}
+    for block in lcmpsi._valuation_rises(300):
+        for m, q, r in zip(*(a.tolist() for a in block)):
+            rises.setdefault(m, []).append((q, r))
+    exps, lcm, worst = {}, 1, 0.0
     for n in range(1, 301):
-        a = lcmpsi.psi_f(n)
-        b = lcmpsi.psi_f_direct(n)
+        for q, r in rises.get(n, ()):
+            exps[q] = exps.get(q, 0) + r
+        a = 0.0  # as psi_f adds: ascending primes, left to right
+        for q in sorted(exps):
+            a += exps[q] * math.log(q)
+        lcm = math.lcm(lcm, n * n + 1)
+        b = lcmpsi._log_big(lcm)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return _result("psi-valuation-vs-lcm", "lcm_psi", {"n_max": 300},
                    worst, 0.0, 1e-9, worst <= 1e-9)

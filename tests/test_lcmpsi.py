@@ -98,10 +98,27 @@ def test_streamed_rises_match_one_block(block, monkeypatch):
     m, ps, rises = got
     assert_rises_sum_to_max_valuation(ps, rises, n)
     # Some prime q first divides m**2 + 1 as the cofactor (its block ends
-    # below q) and is sieved in a later block, at m + q: only the exponent
-    # carried from the first block keeps that hit from rising again.
+    # below q) and is sieved in a later block, at m + q: that hit does not
+    # rise again, because 2(m + q) > q.
     block_top = np.minimum(-(-m // block) * block, n)
     assert ((block_top < ps) & (m + ps <= n)).any()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 12])
+def test_rises_match_factorize_running_maximum(block, monkeypatch):
+    n = 3000
+    best = {}
+    want = ([], [], [])
+    for m in range(1, n + 1):
+        for p, e in arith.factorize(m * m + 1).parts:
+            prev = best.get(p, 0)
+            if e > prev:
+                best[p] = e
+                for a, v in zip(want, (m, p, e - prev)):
+                    a.append(v)
+    monkeypatch.setattr(lcmpsi, "_PSI_BLOCK", block)
+    for a, b in zip(joined_rises(n), want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
 def test_max_valuation_matches_trial():

@@ -39,6 +39,16 @@ def test_pi_f():
     assert primes.pi_f(100, 1) == 4
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: primes.pi_f(x, 1),
+    primes.fouvry_iwaniec_sum,
+])
+def test_non_finite_cutoff_raises(call, x):
+    with pytest.raises(ValueError, match=f"x = {x!r} is not finite"):
+        call(x)
+
+
 def test_pi_f_matches_enumeration():
     rng = random.Random(5)
     for _ in range(20):

@@ -69,6 +69,16 @@ def test_progression_sum_empty_rootset():
     assert r.direct == 0.0 and r.estimate == 0.0 and r.error_bound == 0.0
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: sums.rhs_mobius_expansion(x, 1),
+    lambda x: sums.progression_sum(x, 5, 1),
+])
+def test_non_finite_cutoff_raises(call, x):
+    with pytest.raises(ValueError, match=f"x = {x!r} is not finite"):
+        call(x)
+
+
 def test_progression_estimate_within_bound():
     rng = random.Random(99)
     checked = 0

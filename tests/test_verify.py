@@ -59,6 +59,16 @@ def test_von_mangoldt_sides_match_scalar_loops():
     assert direct == [arith.von_mangoldt(n, sieve) for n in ns]
 
 
+def test_psi_vs_lcm_matches_per_n_loop():
+    # the check grows both sides along one pass; each n recomputed from 1
+    worst = 0.0
+    for n in range(1, 301):
+        a = lcmpsi.psi_f(n)
+        b = lcmpsi.psi_f_direct(n)
+        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    assert verify._check_psi_vs_lcm(SuiteParams()).computed == worst
+
+
 @pytest.mark.parametrize("d", range(1, 101))
 def test_progression_estimate_bound_holds_for_every_shift(d):
     """The check's 100 sampled moduli at every shift. Where q | d, the root
