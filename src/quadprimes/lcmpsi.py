@@ -14,8 +14,7 @@ import numpy as np
 
 from .arith import is_prime_u64, primes_up_to
 from .congruence import ValueSieve, roots_mod
-from .primes import (B_CONSTANT_REF, ConstantEstimate, _character_values,
-                     _tail_averaged)
+from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
 
 _TREND_POINTS = 24  # geometric sample points of psi_residual_trend
 
@@ -151,11 +150,13 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
     """gamma - 1 - log(2)/2 - sum over odd primes p <= bound of (-1|p) log p/(p-1),
     with tail averaging over the top dyadic block of primes."""
     base = euler_gamma() - 1.0 - math.log(2.0) / 2.0
-    ps = primes_up_to(prime_bound)
-    ps = ps[ps >= 3]
-    chi = _character_values(1, ps)
-    terms = chi * np.log(ps.astype(np.float64)) / (ps.astype(np.float64) - 1.0)
-    running = base - np.cumsum(terms)
+    ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
+    # the terms (-1|p) log p / (p - 1), then their running sum, in one array
+    running = np.log(ps.astype(np.float64))
+    np.negative(running, out=running, where=ps % 4 == 3)
+    running /= ps - 1.0
+    np.cumsum(running, out=running)
+    np.subtract(base, running, out=running)
     return _tail_averaged("B", prime_bound, ps, running, base, B_CONSTANT_REF)
 
 

@@ -99,7 +99,7 @@ def _tail_averaged(name: str, prime_bound: int, ps: np.ndarray,
 
 def _character_values(d: int, odd_primes: np.ndarray) -> np.ndarray:
     if d == 1:
-        return np.where(odd_primes % 4 == 1, 1, -1).astype(np.int64)
+        return np.where(odd_primes % 4 == 1, 1, -1).astype(np.int64, copy=False)
     return quadratic_characters(d, odd_primes)
 
 
@@ -109,10 +109,15 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     The product converges only conditionally; both the plain truncation and the
     tail-averaged value are reported.
     """
-    ps = primes_up_to(prime_bound)
-    ps = ps[ps >= 3]
+    ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
     chi = _character_values(d, ps)
-    running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
+    # 1 - chi / (p - 1), then its running product, all in one array
+    running = ps.astype(np.float64)
+    running -= 1.0
+    np.divide(chi, running, out=running)
+    del chi  # freed before the tail mean copies the top dyadic block
+    np.subtract(1.0, running, out=running)
+    np.cumprod(running, out=running)
     return _tail_averaged("hardy_littlewood", prime_bound, ps, running, 1.0,
                           HL_CONSTANT_D1 if d == 1 else None)
 

@@ -3,15 +3,16 @@
 Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
 Each check is a pure function of the suite parameters alone and builds the
-tables it reads, so the checks can run at once: run_suite forks one child
-process per check, as many at a time as there are usable CPUs, and puts the
-results back in definition order. The report is deterministic.
+tables it reads, so the checks can run at once and in any process: run_suite
+forks one worker per usable CPU, hands each worker one check at a time, and
+puts the results back in definition order. The report is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import random
 import time
 from dataclasses import dataclass
@@ -399,34 +400,73 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_check(fn, params: SuiteParams, conn) -> None:
-    """Child side of run_suite: time one check and send back its result, or
-    the exception it raised with its traceback as text."""
+def _work(params: SuiteParams, conn, parent_ends) -> None:
+    """Worker side of run_suite: run each check received over conn, timing it,
+    and send back its result, or the exception it raised (pickled) with its
+    traceback as text. Exit on a None sentinel or when the parent's end
+    closes.
+
+    parent_ends are the parent's ends of this worker's pipe and of those
+    started before it, which a forked worker holds copies of: they are
+    closed first, or the parent's death would never read as EOF here.
+    """
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            fn = conn.recv()
+        except EOFError:
+            break
+        if fn is None:
+            break
+        try:
+            t0 = time.perf_counter()
+            result = fn(params)
+            result.ms = (time.perf_counter() - t0) * 1000.0
+            conn.send((result, None))
+        except Exception as exc:
+            import traceback
+            conn.send((pickle.dumps(exc), traceback.format_exc()))
+    conn.close()
+
+
+def _answer(conn, fn, proc) -> CheckResult:
+    """The result the worker proc sent over conn for check fn; raise instead
+    if the check raised or the worker died first."""
     try:
-        t0 = time.perf_counter()
-        result = fn(params)
-        result.ms = (time.perf_counter() - t0) * 1000.0
-        conn.send((result, None))
-    except Exception as exc:
-        import traceback
-        conn.send((exc, traceback.format_exc()))
-    finally:
-        conn.close()
+        payload, tb = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"check {fn.__name__}: its worker exited with code "
+            f"{proc.exitcode} before sending a result") from None
+    if tb is None:
+        return payload
+    try:
+        exc = pickle.loads(payload)
+    except Exception as err:
+        raise RuntimeError(
+            f"check {fn.__name__} raised an exception that cannot be rebuilt "
+            f"here; in the check's process:\n{tb}") from err
+    raise exc from Exception(f"in the check's process:\n{tb}")
 
 
 def run_suite(params: SuiteParams) -> VerificationReport:
-    """Run every check in its own child process and return the results in
-    definition order; the report content is a function of ``params`` alone
+    """Run every check in a pool of worker processes and return the results
+    in definition order; the report content is a function of ``params`` alone
     (timings aside).
 
-    Children are forked (the platform's default start method where fork does
-    not exist) in definition order, at most one per usable CPU at a time, so
-    each starts from the parent's image and no check inherits another's
-    tables. Each child times its own call, so ``ms`` is the check's wall time.
+    One worker per usable CPU (no more than there are checks) is forked (the
+    platform's default start method where fork does not exist) before the
+    first check runs. Each worker runs one check at a time and is handed the
+    next, in definition order, as soon as it answers. Each worker times each
+    call, so ``ms`` is the check's own wall time.
 
     Every field is checked before the first check runs: one out of range
     (NaN included) raises ValueError. A check that raises re-raises the same
-    exception here; a child that exits without a result raises RuntimeError.
+    exception here, or RuntimeError with the check's traceback where the
+    exception cannot be rebuilt; a worker that exits without a result raises
+    RuntimeError. Every worker has exited when this returns or raises.
     """
     _validate(params)
     # imported here, so that the other subcommands never pay for it
@@ -435,37 +475,38 @@ def run_suite(params: SuiteParams) -> VerificationReport:
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    slots = _usable_cpus()
     todo = list(enumerate(_CHECKS))
     results = [None] * len(todo)
-    running = {}  # reading end -> (index, check, process)
+    workers = {}  # the parent's end of each worker's pipe -> the worker
+    running = {}  # the end of each busy worker's pipe -> (index, check)
     try:
+        for _ in range(min(_usable_cpus(), len(todo))):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_work,
+                               args=(params, child_conn, [*workers, conn]))
+            proc.start()
+            workers[conn] = proc
+            child_conn.close()  # the worker's death now reads as EOF
+        idle = list(workers)
         while todo or running:
-            while todo and len(running) < slots:
+            while todo and idle:
+                conn = idle.pop()
                 i, fn = todo.pop(0)
-                reader, writer = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_run_check, args=(fn, params, writer))
-                proc.start()
-                writer.close()  # the child's death now reads as EOF
-                running[reader] = (i, fn, proc)
-            for reader in wait(list(running)):
-                i, fn, proc = running.pop(reader)
-                try:
-                    result, tb = reader.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"check {fn.__name__} exited with code "
-                        f"{proc.exitcode} before sending a result") from None
-                finally:
-                    reader.close()
-                proc.join()
-                if tb is not None:
-                    raise result from Exception(f"in the check's process:\n{tb}")
-                results[i] = result
-    finally:
-        for reader, (_, _, proc) in running.items():
+                conn.send(fn)
+                running[conn] = (i, fn)
+            for conn in wait(list(running)):
+                i, fn = running.pop(conn)
+                results[i] = _answer(conn, fn, workers[conn])
+                idle.append(conn)
+        for conn in workers:
+            conn.send(None)
+    except BaseException:
+        # idle workers wait in recv: they would never exit on their own
+        for proc in workers.values():
             proc.terminate()
+        raise
+    finally:
+        for conn, proc in workers.items():
             proc.join()
-            reader.close()
+            conn.close()
     return VerificationReport(checks=results)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def plain_sieve(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
+
+
+def test_primes_up_to_peak_memory():
+    """The odd-number mask and one array of primes, with no copy to prepend
+    2: at most the mask plus one and a half arrays of primes. Prepending by
+    concatenation peaked at about the mask plus three."""
+    limit = 10**6
+    n = len(arith.primes_up_to(limit))
+    tracemalloc.start()
+    try:
+        arith.primes_up_to(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (limit + 1) // 2 + 1.5 * 8 * n
 
 
 @pytest.mark.parametrize("limits", [range(2000), [10**6]])

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quadprimes import arith, lcmpsi
+from quadprimes import arith, lcmpsi, primes
 
 
 def test_euler_gamma():
@@ -136,6 +137,41 @@ def test_b_constant_monotone_improvement():
     errs = [abs(lcmpsi.B_constant(10**k).averaged - lcmpsi.B_CONSTANT_REF)
             for k in (3, 4, 5)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def _b_one_expression(bound):
+    """B_constant as one expression over a copy of the odd primes and an
+    int64 character array, the form before its temporaries were trimmed."""
+    base = lcmpsi.euler_gamma() - 1.0 - math.log(2.0) / 2.0
+    ps = arith.primes_up_to(bound)
+    ps = ps[ps >= 3]
+    chi = np.where(ps % 4 == 1, 1, -1).astype(np.int64)
+    terms = chi * np.log(ps.astype(np.float64)) / (ps.astype(np.float64) - 1.0)
+    running = base - np.cumsum(terms)
+    return primes._tail_averaged("B", bound, ps, running, base, None)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 100, 10**5, 10**6])
+def test_b_constant_matches_one_expression(bound):
+    est = lcmpsi.B_constant(bound)
+    ref = _b_one_expression(bound)
+    assert (est.raw.hex(), est.averaged.hex()) == (ref.raw.hex(),
+                                                   ref.averaged.hex())
+
+
+def test_b_constant_peak_memory():
+    """At most three arrays of one 8-byte entry per prime at a time, plus half
+    of one for the masks: the primes, the terms and one transient (p % 4,
+    then p - 1). The one-expression form peaked at about five."""
+    bound = 10**6
+    lcmpsi.B_constant(bound)
+    tracemalloc.start()
+    try:
+        lcmpsi.B_constant(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_residual_trend():

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from quadprimes import arith, primes
+from quadprimes import arith, congruence, primes
 
 KNOWN_PRIMES_10K = (2, 5, 17, 37, 101, 197, 257, 401, 577, 677, 1297, 1601,
                     2917, 3137, 4357, 5477, 7057, 8101, 8837)
@@ -79,6 +81,41 @@ def test_hardy_littlewood_tail_averaged():
     est = primes.hardy_littlewood_constant(1, 10**6)
     assert abs(est.averaged - 1.3727) < 0.02
     assert abs(est.raw - est.averaged) < 0.01  # raw within the oscillation
+
+
+def _hl_one_expression(d, bound):
+    """hardy_littlewood_constant as one expression over a copy of the odd
+    primes, the form before its temporaries were trimmed."""
+    ps = arith.primes_up_to(bound)
+    ps = ps[ps >= 3]
+    chi = congruence.quadratic_characters(d, ps)
+    running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
+    return primes._tail_averaged("hardy_littlewood", bound, ps, running, 1.0,
+                                 None)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 100, 10**5, 10**6])
+@pytest.mark.parametrize("d", [1, 7, 28, -3, 100])
+def test_hardy_littlewood_matches_one_expression(d, bound):
+    est = primes.hardy_littlewood_constant(d, bound)
+    ref = _hl_one_expression(d, bound)
+    assert (est.raw.hex(), est.averaged.hex()) == (ref.raw.hex(),
+                                                   ref.averaged.hex())
+
+
+def test_hardy_littlewood_peak_memory():
+    """At most three arrays of one 8-byte entry per prime at a time, plus half
+    of one for the masks: the primes, the characters and the running
+    product. The one-expression form peaked at about four."""
+    bound = 10**6
+    primes.hardy_littlewood_constant(1, bound)
+    tracemalloc.start()
+    try:
+        primes.hardy_littlewood_constant(1, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_kappa():
