@@ -56,17 +56,18 @@ def sqrt_mod_prime(a: int, p: int) -> list:
 
 
 def _pow_mod(base, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base**exp % p elementwise; base is an array like p, or one int.
-
-    Every p is below 2**31, so no product reaches 2**63.
-    """
+    """base**exp % p elementwise; base is an array like p, or one int. The
+    caller's arrays are not written: base is squared in a copy, and each bit
+    of exp is cast to one bool mask without an int64 temporary. Every p is
+    below 2**31, so no product reaches 2**63."""
     out = np.ones_like(p)
     base = base % p
+    bit = np.empty_like(p, dtype=bool)
     for k in range(int(exp.max(initial=0)).bit_length()):
         if k:
             np.multiply(base, base, out=base)
             np.remainder(base, p, out=base)
-        bit = exp & 1 << k != 0
+        np.bitwise_and(exp, 1 << k, out=bit, casting="unsafe")
         np.multiply(out, base, out=out, where=bit)
         np.remainder(out, p, out=out, where=bit)
     return out
@@ -75,8 +76,9 @@ def _pow_mod(base, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 def quadratic_characters(d: int, ps: np.ndarray) -> np.ndarray:
     """(-d | p) for every odd prime p of ps, by Euler's criterion in one pass."""
     ps = np.asarray(ps, dtype=np.int64)
-    t = _pow_mod(-d % ps, (ps - 1) // 2, ps)
-    return np.where(t == ps - 1, -1, t)
+    t = _pow_mod(-d, (ps - 1) // 2, ps)
+    t[t == ps - 1] = -1
+    return t
 
 
 def _non_residues(ps: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime_u64, primes_up_to
+from .arith import _ordered_sum, _running_sums, is_prime_u64, primes_up_to
 from .congruence import ValueSieve, roots_mod
 from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
 
@@ -23,11 +23,7 @@ def euler_gamma() -> float:
     """Euler-Mascheroni constant via Euler-Maclaurin on the harmonic sum of
     200 terms; accurate to well beyond 12 digits already at 50."""
     n = 200
-    # added left to right, as on every Python: from 3.12 on, the builtin sum
-    # compensates, and its last bits differ
-    h = 0.0
-    for k in range(1, n + 1):
-        h += 1.0 / k
+    h = _ordered_sum(1.0 / k for k in range(1, n + 1))
     n2 = float(n) * n
     return (h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n2)
             - 1.0 / (120.0 * n2 * n2) + 1.0 / (252.0 * n2 * n2 * n2))
@@ -97,10 +93,7 @@ def psi_f(n: int) -> float:
     _, p, rise = (np.concatenate(a) for a in zip(*_valuation_rises(n)))
     ps, which = np.unique(p, return_inverse=True)
     exps = np.bincount(which, weights=rise)
-    total = 0.0  # left to right, as in euler_gamma
-    for q, e in zip(ps.tolist(), exps.tolist()):
-        total += e * math.log(q)
-    return total
+    return _ordered_sum(e * math.log(q) for q, e in zip(ps.tolist(), exps.tolist()))
 
 
 def psi_f_direct(n: int) -> float:
@@ -151,13 +144,19 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
     with tail averaging over the top dyadic block of primes."""
     base = euler_gamma() - 1.0 - math.log(2.0) / 2.0
     ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
+    tail = np.searchsorted(ps, prime_bound // 2, side="right")
+    three = ps % 4 == 3  # where (-1|p) = -1
+    p = ps.astype(np.float64)
+    del ps  # frees the int64 primes
     # the terms (-1|p) log p / (p - 1), then their running sum, in one array
-    running = np.log(ps.astype(np.float64))
-    np.negative(running, out=running, where=ps % 4 == 3)
-    running /= ps - 1.0
+    running = np.log(p)
+    np.negative(running, out=running, where=three)
+    p -= 1.0
+    running /= p
+    del p
     np.cumsum(running, out=running)
     np.subtract(base, running, out=running)
-    return _tail_averaged("B", prime_bound, ps, running, base, B_CONSTANT_REF)
+    return _tail_averaged("B", prime_bound, running, tail, base, B_CONSTANT_REF)
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,8 @@ def psi_residual_trend(n_max: int) -> PsiTrace:
     for m, p, rise in _valuation_rises(n_max):
         if not len(m):  # a block can bring no rise: m = 3 brings none
             continue
-        # np.cumsum adds left to right, like a running sum, from the carry
-        # (carry + np.cumsum(...) would add in another order); math.log, not
-        # np.log, which may differ in the last place
         logs = np.array([math.log(q) for q in p.tolist()])
-        after = np.cumsum(np.r_[carry, rise * logs])
+        after = _running_sums(rise * logs, carry)
         # each n reads the last rise at or before it
         ns = np.arange(top + 1, m[-1] + 1)
         psi_all[top + 1 : m[-1] + 1] = after[np.searchsorted(m, ns, side="right")]

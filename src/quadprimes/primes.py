@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _check_cutoff, primes_up_to
+from .arith import _check_cutoff, _ordered_sum, primes_up_to
 from .congruence import ValueSieve, prime_bits, quadratic_characters
 
 _U64_MAX = (1 << 64) - 1
@@ -82,25 +82,18 @@ HL_CONSTANT_D1 = 1.3727  # truncated decimal as printed in the literature
 B_CONSTANT_REF = -0.0662756342
 
 
-def _tail_averaged(name: str, prime_bound: int, ps: np.ndarray,
-                   running: np.ndarray, empty: float,
+def _tail_averaged(name: str, prime_bound: int, running: np.ndarray,
+                   tail: int, empty: float,
                    reference: float | None) -> ConstantEstimate:
-    """The estimate from the running value at each odd prime of ps: its last
-    value, and its mean over the primes above prime_bound // 2 (the last value
-    alone when there are none). Both are ``empty`` when ps is empty."""
-    if len(ps) == 0:
+    """The estimate from the running value at each odd prime up to
+    prime_bound: its last value, and its mean from index tail on, over the
+    primes above prime_bound // 2 (the last value alone when there are none).
+    Both are ``empty`` when there are no odd primes."""
+    if len(running) == 0:
         return ConstantEstimate(name, prime_bound, empty, empty, reference)
-    tail = running[ps > prime_bound // 2]
-    if len(tail) == 0:
-        tail = running[-1:]
+    top = running[tail:] if tail < len(running) else running[-1:]
     return ConstantEstimate(name, prime_bound, float(running[-1]),
-                            float(tail.mean()), reference)
-
-
-def _character_values(d: int, odd_primes: np.ndarray) -> np.ndarray:
-    if d == 1:
-        return np.where(odd_primes % 4 == 1, 1, -1).astype(np.int64, copy=False)
-    return quadratic_characters(d, odd_primes)
+                            float(top.mean()), reference)
 
 
 def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
@@ -110,15 +103,22 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     tail-averaged value are reported.
     """
     ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
-    chi = _character_values(d, ps)
+    tail = np.searchsorted(ps, prime_bound // 2, side="right")
+    # for d = 1, chi(p) is -1 exactly where p = 3 (mod 4): a bool mask
+    chi = ps % 4 == 3 if d == 1 else quadratic_characters(d, ps)
     # 1 - chi / (p - 1), then its running product, all in one array
     running = ps.astype(np.float64)
+    del ps  # frees the int64 primes
     running -= 1.0
-    np.divide(chi, running, out=running)
-    del chi  # freed before the tail mean copies the top dyadic block
+    if d == 1:
+        np.divide(1.0, running, out=running)
+        np.negative(running, out=running, where=chi)
+    else:
+        np.divide(chi, running, out=running)
+    del chi
     np.subtract(1.0, running, out=running)
     np.cumprod(running, out=running)
-    return _tail_averaged("hardy_littlewood", prime_bound, ps, running, 1.0,
+    return _tail_averaged("hardy_littlewood", prime_bound, running, tail, 1.0,
                           HL_CONSTANT_D1 if d == 1 else None)
 
 
@@ -158,8 +158,7 @@ def fouvry_iwaniec_sum(x: float) -> FouvryIwaniecResult:
     total = 0.0
     for sv in ValueSieve.quartic_rows(int(x)):
         base = sv.prime_power_base()
-        for p in base[base > 0].tolist():
-            total += math.log(p)
+        total = _ordered_sum(map(math.log, base[base > 0].tolist()), total)
         del sv, base  # free this block before the next one is sieved
     predicted = 4.0 * kappa_gamma() / math.pi * x ** 0.75
     return FouvryIwaniecResult(x, total, predicted)

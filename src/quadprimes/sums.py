@@ -1,8 +1,9 @@
 """The central weighted sum over n**2 + d, three ways.
 
 Direct evaluation, full Mobius expansion over moduli, and the small/large
-moduli split with an omega sub-split on the large part. All accumulation runs
-in fixed ascending order so results are independent of any parallel layout.
+moduli split with an omega sub-split on the large part. Every total is added
+by arith._ordered_sum, left to right in ascending n or q, so its bits do not
+depend on the Python or numpy release.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, _check_cutoff
+from .arith import FactorSieve, _check_cutoff, _ordered_sum
 from .congruence import ValueSieve, prime_bits, roots_mod
 from .primes import prime_power_scan
 
@@ -55,19 +56,18 @@ def lhs_sum(x: float, d: int, alpha: float = 0.5,
     _check_cutoff(x)
     if x < 5:
         return 0.0
-    total = 0.0
-    for n, lam in _lambda_terms(2, _n_limit(x, d), d):
-        total += lam / (n * math.log(n) ** (1.0 - alpha))
-    return total
+    return _ordered_sum(lam / (n * math.log(n) ** (1.0 - alpha))
+                        for n, lam in _lambda_terms(2, _n_limit(x, d), d))
 
 
 def _expansion(x: float, d: int):
     """Sieve n**2 + d over 2 <= n, n**2 + d <= x, and collect the Mobius support.
 
-    Returns, for every squarefree q dividing one of these values (the only
-    moduli with a nonzero progression sum), in ascending q: mu(q), omega(q)
-    and T(x; q, d) = sum of 1/(n sqrt(log n)) over the n with q | n**2 + d,
-    added in ascending n. x is at most SUM_X_LIMIT.
+    Returns arrays over every squarefree q > 1 dividing one of these values
+    (the only moduli with a nonzero progression sum), in ascending q: q,
+    omega(q) and the term -mu(q) log(q) T(x; q, d), with T(x; q, d) the sum
+    of 1/(n sqrt(log n)) over the n with q | n**2 + d, added in ascending n.
+    x is at most SUM_X_LIMIT.
     """
     if x > SUM_X_LIMIT:
         raise ValueError(f"sum cutoff x = {x!r} exceeds {SUM_X_LIMIT}")
@@ -77,7 +77,10 @@ def _expansion(x: float, d: int):
     w = np.array([1.0 / (n * math.sqrt(math.log(n))) for n in range(2, top + 1)])
     qs, first, inv = np.unique(q, return_index=True, return_inverse=True)
     t = np.bincount(inv, w[owner])  # adds in owner (= ascending n) order
-    return qs.tolist(), mu[first].tolist(), om[first].tolist(), t.tolist()
+    big = qs > 1
+    qs, first, t = qs[big], first[big], t[big]
+    logs = np.array([math.log(v) for v in qs.tolist()])
+    return qs, om[first], -mu[first] * logs * t
 
 
 def rhs_mobius_expansion(x: float, d: int) -> float:
@@ -90,12 +93,7 @@ def rhs_mobius_expansion(x: float, d: int) -> float:
     _check_cutoff(x)
     if x < 5:
         return 0.0
-    qs, mus, _, ts = _expansion(x, d)
-    total = 0.0
-    for q, mu, t in zip(qs, mus, ts):
-        if q > 1:
-            total -= mu * math.log(q) * t
-    return total
+    return _ordered_sum(_expansion(x, d)[2])
 
 
 @dataclass(frozen=True)
@@ -134,18 +132,12 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     cut = x ** (0.5 - epsilon)
     lhs = small = low = high = 0.0
     if x >= 5:
-        qs, mus, oms, ts = _expansion(x, d)
+        qs, om, terms = _expansion(x, d)
         lhs = lhs_sum(x, d, 0.5)
-        for q, mu, om, t in zip(qs, mus, oms, ts):
-            if q == 1:
-                continue
-            term = -mu * math.log(q) * t
-            if q <= cut:
-                small += term
-            elif om <= threshold:
-                low += term
-            else:
-                high += term
+        large = qs > cut
+        small = _ordered_sum(terms[~large])
+        low = _ordered_sum(terms[large & (om <= threshold)])
+        high = _ordered_sum(terms[large & (om > threshold)])
     return SumDecomposition(x, d, epsilon, lhs, small, low, high, threshold)
 
 
@@ -174,20 +166,19 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
         return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
     s = math.sqrt(max(x - d, 4.0))
     ns = []
-    estimate = 0.0
+    pieces = []  # the estimate of each residue class, in root order
     for r in rs.roots:
         first = r if r >= 2 else r + q * ((2 - r + q - 1) // q)
         ns.extend(range(first, top + 1, q))
         f = ((s - r) / q) % 1.0
         last = s - q * f
         if first <= top:
-            estimate += (2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(first)))
+            pieces.append((2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(first))))
     if not ns:
         return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
     ns.sort()
-    direct = 0.0
-    for n in ns:
-        direct += 1.0 / (n * math.sqrt(math.log(n)))
+    direct = _ordered_sum(1.0 / (n * math.sqrt(math.log(n))) for n in ns)
+    estimate = _ordered_sum(pieces)
     n0 = ns[0]
     bound = rs.count / (n0 * math.sqrt(math.log(n0)))
     return ProgressionSumResult(q, d, direct, estimate, bound)
@@ -201,7 +192,4 @@ def qualifying_n_by_trial(x: float, q: int, d: int) -> list:
 
 def dirichlet_partial(s: float, n_terms: int, d: int) -> float:
     """Sum of Lambda(n**2 + d) * n**(-s) for 1 <= n <= n_terms."""
-    total = 0.0
-    for n, lam in _lambda_terms(1, n_terms, d):
-        total += lam * n ** (-s)
-    return total
+    return _ordered_sum(lam * n ** (-s) for n, lam in _lambda_terms(1, n_terms, d))

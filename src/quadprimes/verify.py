@@ -295,9 +295,8 @@ def _check_psi_vs_lcm(p: SuiteParams) -> CheckResult:
     for n in range(1, 301):
         for q, r in rises.get(n, ()):
             exps[q] = exps.get(q, 0) + r
-        a = 0.0  # as psi_f adds: ascending primes, left to right
-        for q in sorted(exps):
-            a += exps[q] * math.log(q)
+        # as psi_f adds: ascending primes
+        a = arith._ordered_sum(exps[q] * math.log(q) for q in sorted(exps))
         lcm = math.lcm(lcm, n * n + 1)
         b = lcmpsi._log_big(lcm)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))

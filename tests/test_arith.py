@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,53 @@ def test_via_mobius_examples():
     assert arith.von_mangoldt_via_mobius(4) == pytest.approx(math.log(2), abs=1e-12)
     assert arith.von_mangoldt_via_mobius(6) == pytest.approx(0.0, abs=1e-12)
     assert arith.von_mangoldt_via_mobius(1) == 0.0
+
+
+def test_ordered_sum_rounds_each_addition():
+    terms = [1e16, 1.0, -1e16]
+    # 1e16 + 1.0 rounds back to 1e16 (a tie, to even), so the 1.0 is lost
+    assert arith._ordered_sum(terms) == 0.0
+    assert math.fsum(terms) == 1.0
+    if sys.version_info >= (3, 12):  # the builtin sum compensates
+        assert sum(terms) == 1.0
+
+
+def test_ordered_sum_carries_start():
+    # the start is added first: 1e16 + 1.0 + 1.0 loses both ones, while
+    # 1e16 + (1.0 + 1.0) keeps them
+    assert arith._ordered_sum([1.0, 1.0], 1e16) == 1e16
+    assert 1e16 + arith._ordered_sum([1.0, 1.0]) == 1e16 + 2.0
+    terms = [0.1 * k for k in range(1, 40)]
+    assert arith._ordered_sum(terms[20:], arith._ordered_sum(terms[:20])) \
+        == arith._ordered_sum(terms)
+    assert arith._running_sums([1.0, 2.0, 3.0], 0.5).tolist() == \
+        [0.5, 1.5, 3.5, 6.5]
+
+
+def test_ordered_sum_of_no_terms_is_start():
+    assert arith._ordered_sum([]) == 0.0
+    assert arith._ordered_sum([], 2.5) == 2.5
+    assert arith._ordered_sum(np.empty(0), -1.25) == -1.25
+    assert arith._running_sums(iter(()), 3.0).tolist() == [3.0]
+
+
+def test_ordered_sum_takes_generators_and_arrays():
+    terms = [1.0 / k for k in range(1, 200)]
+    loop = 0.0
+    for t in terms:
+        loop += t
+    assert arith._ordered_sum(terms) == loop
+    assert arith._ordered_sum(t for t in terms) == loop
+    assert arith._ordered_sum(np.array(terms)) == loop
+    assert arith._ordered_sum(map(float, terms)) == loop
+
+
+def test_ordered_sum_returns_a_python_float():
+    # a numpy scalar would print as np.float64(...) under numpy 2, in CSV
+    # reports and in the sum command's output
+    for terms in ([], [1.5], np.array([1.5, 2.0]), (t for t in (1.0,))):
+        assert type(arith._ordered_sum(terms)) is float
+    assert type(arith._ordered_sum([1.0], np.float64(2.0))) is float
 
 
 def test_via_mobius_matches_direct():

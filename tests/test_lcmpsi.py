@@ -148,7 +148,8 @@ def _b_one_expression(bound):
     chi = np.where(ps % 4 == 1, 1, -1).astype(np.int64)
     terms = chi * np.log(ps.astype(np.float64)) / (ps.astype(np.float64) - 1.0)
     running = base - np.cumsum(terms)
-    return primes._tail_averaged("B", bound, ps, running, base, None)
+    tail = np.searchsorted(ps, bound // 2, side="right")
+    return primes._tail_averaged("B", bound, running, tail, base, None)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 100, 10**5, 10**6])
@@ -160,9 +161,10 @@ def test_b_constant_matches_one_expression(bound):
 
 
 def test_b_constant_peak_memory():
-    """At most three arrays of one 8-byte entry per prime at a time, plus half
-    of one for the masks: the primes, the terms and one transient (p % 4,
-    then p - 1). The one-expression form peaked at about five."""
+    """At most two arrays of one 8-byte entry per prime at a time, plus half
+    of one for the masks: the primes, or the terms and p - 1 once the primes
+    are freed. The one-expression form peaked at about five, and keeping
+    the int64 primes for the tail mask at three."""
     bound = 10**6
     lcmpsi.B_constant(bound)
     tracemalloc.start()
@@ -171,7 +173,7 @@ def test_b_constant_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * len(arith.primes_up_to(bound))
+    assert peak <= 2.5 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_residual_trend():

@@ -90,7 +90,8 @@ def _hl_one_expression(d, bound):
     ps = ps[ps >= 3]
     chi = congruence.quadratic_characters(d, ps)
     running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
-    return primes._tail_averaged("hardy_littlewood", bound, ps, running, 1.0,
+    tail = np.searchsorted(ps, bound // 2, side="right")
+    return primes._tail_averaged("hardy_littlewood", bound, running, tail, 1.0,
                                  None)
 
 
@@ -104,9 +105,10 @@ def test_hardy_littlewood_matches_one_expression(d, bound):
 
 
 def test_hardy_littlewood_peak_memory():
-    """At most three arrays of one 8-byte entry per prime at a time, plus half
-    of one for the masks: the primes, the characters and the running
-    product. The one-expression form peaked at about four."""
+    """At most two arrays of one 8-byte entry per prime at a time, plus half
+    of one for the masks: the primes and the running product, with the
+    characters of d = 1 as a bool mask. The one-expression form peaked at
+    about four, and an int64 character array at three."""
     bound = 10**6
     primes.hardy_littlewood_constant(1, bound)
     tracemalloc.start()
@@ -115,7 +117,23 @@ def test_hardy_littlewood_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * len(arith.primes_up_to(bound))
+    assert peak <= 2.5 * 8 * len(arith.primes_up_to(bound))
+
+
+def test_hardy_littlewood_peak_memory_other_shift():
+    """For d != 1 the characters come from quadratic_characters, which adds
+    the exponents (p - 1)/2 and the powers being squared: at most four and a
+    half arrays of one 8-byte entry per prime. An int64 temporary for each
+    exponent bit peaked at about 5.25."""
+    bound = 10**6
+    primes.hardy_littlewood_constant(7, bound)
+    tracemalloc.start()
+    try:
+        primes.hardy_littlewood_constant(7, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_kappa():

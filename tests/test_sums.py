@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadprimes import arith, congruence, sums
 
@@ -164,3 +165,52 @@ def test_values_below_1_raise():
         sums.lhs_sum(100, -4)
     with pytest.raises(ValueError):
         sums.dirichlet_partial(1.0, 10, -1)
+
+
+def progression_by_loop(x, q, d):
+    """direct and estimate of progression_sum, from the scanned roots and a
+    filter over every n."""
+    top = sums._n_limit(x, d)
+    s = math.sqrt(max(x - d, 4.0))
+    direct = estimate = 0.0
+    for n in range(2, top + 1):
+        if (n * n + d) % q == 0:
+            direct += 1.0 / (n * math.sqrt(math.log(n)))
+    for r in congruence.roots_mod_scan(q, d):
+        first = r if r >= 2 else r + q * ((2 - r + q - 1) // q)
+        if first <= top:
+            last = s - q * (((s - r) / q) % 1.0)
+            estimate += (2.0 / q) * (math.sqrt(math.log(last))
+                                     - math.sqrt(math.log(first)))
+    return direct, estimate
+
+
+@pytest.mark.parametrize("d", [1, 7, 0, -3])
+def test_progression_sum_equals_loop(d):
+    rng = random.Random(d + 1000)
+    for _ in range(25):
+        x = rng.choice([rng.randrange(5, 10**6), rng.uniform(5, 10**6)])
+        q = rng.randrange(1, 500)
+        r = sums.progression_sum(x, q, d)
+        assert (r.direct, r.estimate) == progression_by_loop(x, q, d), (x, q)
+
+
+def test_von_mangoldt_via_mobius_equals_loop():
+    ns = list(range(1, 3000)) + [2**61 - 1, 10**18 + 9, 2**40 * 3**10,
+                                  600851475143, 30030**3, 223092870]
+    for n in ns:
+        total = 0.0
+        for q, mu in arith.squarefree_divisors(n):
+            total += mu * math.log(q)
+        assert arith.von_mangoldt_via_mobius(n) == -total, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(-3, 100), x=st.floats(5, 1e6))
+@example(d=-3, x=5.0)
+@example(d=100, x=1e6)
+def test_central_identity_across_shifts(d, x):
+    lhs = sums.lhs_sum(x, d)
+    rhs = sums.rhs_mobius_expansion(x, d)
+    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+    assert sums.dyadic_split(x, d).lhs == lhs

@@ -207,7 +207,9 @@ def support_loop(x, d):
 
 
 @pytest.mark.parametrize("x, d", [(10, 1), (10**4, 3), (10**5, 1),
-                                  (10**5, 28), (54_321, -3)])
+                                  (10**5, 28), (54_321, -3), (5, 1), (200, 7),
+                                  (10**6, 7), (10**4, 0), (10**6, 0),
+                                  (10**6, -3)])
 def test_expansion_is_bit_identical_to_loop(x, d):
     support = support_loop(x, d)
     total = 0.0
