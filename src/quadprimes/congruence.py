@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
 # in several blocks. A block costs a fixed number of numpy passes, so a small
 # one costs little time and bounds the memory of its hit arrays.
 _ROW_BLOCK = 1 << 16
+
+# Most n that one block of prime_bits strikes through _stepped (one more
+# root's strikes may overrun it), which bounds the memory of its positions.
+_STRIKE_BLOCK = 1 << 16
 
 
 def legendre(a: int, p: int) -> int:
@@ -55,13 +60,28 @@ def sqrt_mod_prime(a: int, p: int) -> list:
     return sorted({z, p - z})
 
 
+def _residues(a: int, p: np.ndarray) -> np.ndarray:
+    """a % p for every p of p (each below 2**31), for a Python int a of any
+    size: Horner's rule over the 31-bit limbs of |a|, in place in one array,
+    so that no intermediate reaches 2**63."""
+    r = np.zeros_like(p)
+    for k in range(abs(a).bit_length() // 31 * 31, -1, -31):
+        r <<= 31
+        r += abs(a) >> k & (1 << 31) - 1
+        r %= p
+    if a < 0:
+        np.subtract(p, r, out=r)
+        r %= p
+    return r
+
+
 def _pow_mod(base, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base**exp % p elementwise; base is an array like p, or one int. The
-    caller's arrays are not written: base is squared in a copy, and each bit
-    of exp is cast to one bool mask without an int64 temporary. Every p is
-    below 2**31, so no product reaches 2**63."""
+    """base**exp % p elementwise; base is an array like p, or one int of any
+    size. The caller's arrays are not written: base is squared in a copy,
+    and each bit of exp is cast to one bool mask without an int64 temporary.
+    Every p is below 2**31, so no product reaches 2**63."""
     out = np.ones_like(p)
-    base = base % p
+    base = _residues(base, p) if isinstance(base, int) else base % p
     bit = np.empty_like(p, dtype=bool)
     for k in range(int(exp.max(initial=0)).bit_length()):
         if k:
@@ -270,20 +290,24 @@ def roots_mod_scan(q: int, d: int) -> tuple:
 
 
 def rho_table(limit: int, d: int) -> np.ndarray:
-    """rho(q, d) for all q in [0, limit], one strided pass per prime p <= limit.
+    """rho(q, d) for all q in [0, limit], in a fixed number of array passes.
 
-    For p not dividing 2d every rho(p**e) is 1 + (-d | p), so each multiple of
-    p takes that factor once. For p dividing 2d the factor of q depends on the
-    exponent of p in q, and each exponent's count comes from Hensel lifting.
+    For p not dividing 2d every rho(p**e) is 1 + (-d | p), 0 or 2, so each
+    multiple of p takes that factor once: all the symbols come from one
+    quadratic_characters call, a strided pass writes each prime p <=
+    sqrt(limit), and one pass per multiplier m writes the larger primes,
+    which have few multiples each (as stats.omega_sieve counts them). For p
+    dividing 2d the factor of q depends on the exponent of p in q, and each
+    exponent's count comes from Hensel lifting. Such a p has rho(p) = 1 (the
+    one root n = 0, or n = d mod 2), so only those up to sqrt(limit), whose
+    square fits, write any factor.
     """
     out = np.ones(limit + 1, dtype=np.int64)
     out[0] = 0
-    for p in primes_up_to(limit).tolist():
-        if (2 * d) % p:
-            r = 1 + quadratic_character(d, p)
-            if r != 1:
-                out[p::p] *= r
-            continue
+    ps = primes_up_to(limit)
+    lifted = (ps == 2) | (_residues(d, ps) == 0)
+    root = math.isqrt(limit)
+    for p in ps[lifted & (ps <= root)].tolist():
         # factor[k - 1] is rho(p**e) for q = p*k with p**e exactly dividing q;
         # the larger exponents write last.
         factor = np.empty(limit // p, dtype=np.int64)
@@ -293,19 +317,34 @@ def rho_table(limit: int, d: int) -> np.ndarray:
             step *= p
             e += 1
         out[p::p] *= factor
+    ps = ps[~lifted]
+    r = 1 + quadratic_characters(d, ps)
+    small = np.searchsorted(ps, root, side="right")
+    for p, f in zip(ps[:small].tolist(), r[:small].tolist()):
+        out[p::p] *= f
+    big, r = ps[small:], r[small:]
+    m = 1
+    while len(big):
+        out[big * m] *= r  # distinct indices within one pass
+        m += 1
+        k = np.searchsorted(big, limit // m, side="right")
+        big, r = big[:k], r[:k]
     return out
 
 
 def prime_bits(n_max: int, d: int) -> np.ndarray:
     """bits[n] tells whether n**2 + d is prime, for 0 <= n <= n_max.
 
-    Each root r of each prime p <= isqrt(n_max**2 + d) strikes bits[r::p],
-    one strided pass per root. That strikes the value p itself too, and
-    strikes no value below 2, so the values up to the largest such prime (at
-    least 1) are read off the primes instead. When the values are fewer than
-    those primes (a small n_max with a huge d), each value takes one
-    Miller-Rabin test instead. Raises ValueError before it allocates when
-    n_max**2 + d exceeds PRIME_SIEVE_LIMIT**2, the reach of the prime sieve.
+    Each root r of each prime p <= isqrt(n_max**2 + d) strikes the n = r
+    (mod p): a strided pass bits[r::p] for each root of a prime p <=
+    isqrt(n_max), and for the larger primes, which strike few n each, the
+    positions from _stepped, in blocks of at most about _STRIKE_BLOCK. That
+    strikes the value p itself too, and strikes no value below 2, so the
+    values up to the largest such prime (at least 1) are read off the primes
+    instead. When the values are fewer than those primes (a small n_max with
+    a huge d), each value takes one Miller-Rabin test instead. Raises
+    ValueError before it allocates when n_max**2 + d exceeds
+    PRIME_SIEVE_LIMIT**2, the reach of the prime sieve.
     """
     if n_max < 0:
         return np.zeros(0, dtype=bool)
@@ -317,15 +356,27 @@ def prime_bits(n_max: int, d: int) -> np.ndarray:
     # so primes that the sieve would step
     if reach > 2 and n_max + 1 < reach / math.log(reach):
         return np.array([is_prime_u64(n * n + d) for n in range(n_max + 1)])
-    bits = np.ones(n_max + 1, dtype=bool)
     ps = primes_up_to(reach)
-    prime, root = sqrt_mod_primes(d, ps)
-    for p, r in zip(prime, root):
-        bits[r::p] = False
     cap = int(ps[-1]) if len(ps) else 1
     head = np.arange(min(n_max, math.isqrt(cap - d)) + 1 if cap >= d else 0)
     v = head * head + d
-    bits[head] = ps[np.searchsorted(ps, v)] == v if len(ps) else False
+    head_bits = ps[np.searchsorted(ps, v)] == v if len(ps) else False
+    prime, root = sqrt_mod_primes(d, ps)
+    del ps  # freed, and the bits allocated, only after the roots' peak
+    bits = np.ones(n_max + 1, dtype=bool)
+    small = np.searchsorted(prime, math.isqrt(n_max), side="right")
+    for p, r in zip(prime[:small].tolist(), root[:small].tolist()):
+        bits[r::p] = False
+    prime, root = prime[small:], root[small:]
+    # cut the roots where the running count of their strikes passes each
+    # multiple of _STRIKE_BLOCK; each root strikes (n_max - r) // p + 1 n
+    ends = np.cumsum((n_max - root) // prime + 1)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_STRIKE_BLOCK, total, _STRIKE_BLOCK),
+                           side="right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(prime)]):
+        bits[_stepped(root[a:b], prime[a:b], 0, n_max)[0]] = False
+    bits[head] = head_bits
     return bits
 
 
@@ -344,12 +395,12 @@ def _stepped(root: np.ndarray, step: np.ndarray, lo: int, hi: int):
 class ValueSieve:
     """Factorisations of a block of values n**2 + c, by stepping roots.
 
-    ``values`` is the block, every value >= 1; an int64 array is divided in
-    place and becomes ``cofactor``. ``at`` and ``prime`` are the hits, one
-    entry each, grouped by ascending prime: for every prime p <=
+    ``values`` is the block, every value >= 1. ``at`` and ``prime`` are the
+    hits, one entry each, grouped by ascending prime: for every prime p <=
     isqrt(max value), the positions of the values that p divides, read off
     the roots of n**2 + c = 0 (mod p) instead of found by trial division. A
-    hit whose prime does not divide its value raises ValueError. Afterwards:
+    hit whose prime does not divide its value raises ValueError at once.
+    The factorisation is computed when one of its fields is first read:
 
     - ``cofactor[i]`` is what remains of value i: 1 or a prime larger than
       every sieved prime;
@@ -357,6 +408,8 @@ class ValueSieve:
     - ``largest[i]`` is the largest sieved prime dividing value i (1 if none);
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
+
+    ``prime_power_base`` needs none of them: it reads the hit counts.
 
     The front ends build the block and, with ``_stepped``, its hits:
     ``shift_blocks`` (n**2 + d in blocks of consecutive n; ``shift`` is its
@@ -366,9 +419,19 @@ class ValueSieve:
     """
 
     def __init__(self, values: np.ndarray, at: np.ndarray, prime: np.ndarray):
-        cofactor = np.asarray(values, dtype=np.int64)
-        if (cofactor[at] % prime).any():
+        values = np.asarray(values, dtype=np.int64)
+        if (values[at] % prime).any():
             raise ValueError("a prime does not divide every value it hits")
+        self._values = values
+        self.hit_index = at
+        self.hit_prime = prime
+
+    @cached_property
+    def _division(self):
+        """(cofactor, hit_exp): the values with every hit's prime divided
+        out as often as it divides, and how often that was."""
+        at, prime = self.hit_index, self.hit_prime
+        cofactor = self._values.copy()
         # The primes that hit one value are distinct, so after this division
         # p divides the cofactor exactly where p**2 divides the value.
         np.floor_divide.at(cofactor, at, prime)
@@ -378,15 +441,26 @@ class ValueSieve:
             np.floor_divide.at(cofactor, at[k], prime[k])
             exp[k] += 1
             k = k[cofactor[at[k]] % prime[k] == 0]
-        largest = np.ones(len(cofactor), dtype=np.int64)
-        np.maximum.at(largest, at, prime)
-        self.cofactor = cofactor
-        self.largest = largest
-        self.hit_index = at
-        self.hit_prime = prime
-        self.hit_exp = exp
-        self.omega = (np.bincount(at, minlength=len(cofactor))
-                      + (cofactor > 1)).astype(np.uint8)
+        return cofactor, exp
+
+    @property
+    def cofactor(self) -> np.ndarray:
+        return self._division[0]
+
+    @property
+    def hit_exp(self) -> np.ndarray:
+        return self._division[1]
+
+    @cached_property
+    def largest(self) -> np.ndarray:
+        largest = np.ones(len(self._values), dtype=np.int64)
+        np.maximum.at(largest, self.hit_index, self.hit_prime)
+        return largest
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return (np.bincount(self.hit_index, minlength=len(self._values))
+                + (self.cofactor > 1)).astype(np.uint8)
 
     @classmethod
     def _blocks(cls, c: int, root: np.ndarray, step: np.ndarray, lo: int,
@@ -476,8 +550,24 @@ class ValueSieve:
         return np.maximum(self.largest, self.cofactor)
 
     def prime_power_base(self) -> np.ndarray:
-        """p where the value is a power of the prime p, else 0."""
-        return np.where(self.omega == 1, self.largest_prime(), 0)
+        """p where the value is a power of the prime p, else 0, read off the
+        hit counts without factoring: a value that no sieved prime hits is 1
+        or a prime, and one that one prime p alone hits is p**k times 1 or a
+        prime above every sieved prime, so a power of p exactly where
+        dividing out p leaves 1."""
+        values = self._values
+        count = np.bincount(self.hit_index, minlength=len(values))
+        base = np.where((count == 0) & (values > 1), values, 0)
+        alone = np.flatnonzero(count[self.hit_index] == 1)
+        at, p = self.hit_index[alone], self.hit_prime[alone]
+        q = values[at] // p
+        k = np.flatnonzero(q % p == 0)
+        while len(k):
+            q[k] //= p[k]
+            k = k[q[k] % p[k] == 0]
+        one = q == 1
+        base[at[one]] = p[one]
+        return base
 
     def squarefree_divisors(self):
         """(owner, q, mu(q), omega(q)) over every squarefree divisor q of every

@@ -168,24 +168,35 @@ def prime_power_scan(n_max: int, d: int) -> list:
     """All (n, p, nu) with n**2 + d = p**nu, 1 <= n <= n_max, nu >= 2.
 
     Enumerates prime powers p**nu <= n_max**2 + d and tests p**nu - d for a
-    perfect square; equivalent to scanning n but far cheaper.
+    perfect square, one array pass per exponent nu; equivalent to scanning n
+    but far cheaper. OverflowError when n_max**2 + d exceeds 64 bits, or
+    when n_max is 2**31 or more (the squares are tested in int64).
     """
-    if n_max < 1:
-        return []
     limit = n_max * n_max + d
+    if n_max < 1 or limit < 4:  # 4 is the least prime power with nu >= 2
+        return []
     if limit > _U64_MAX:
         raise OverflowError("n_max**2 + d exceeds 64 bits")
+    if n_max >= 1 << 31:
+        raise OverflowError("n_max exceeds 31 bits")
+    ps = primes_up_to(math.isqrt(limit))
+    power = ps * ps
     hits = []
-    for p in primes_up_to(math.isqrt(limit)).tolist():
-        v, nu = p * p, 2
-        while v <= limit:
-            t = v - d
-            if t >= 1:
-                n = math.isqrt(t)
-                if n * n == t and n <= n_max:
-                    hits.append((n, p, nu))
-            v *= p
-            nu += 1
+    nu = 2
+    while len(ps):
+        # t = p**nu - d <= n_max**2 < 2**62 is a square n**2 exactly where
+        # the float root, moved by at most one, squares to it; so n <= n_max.
+        t = power - d
+        n = np.sqrt(np.maximum(t, 0).astype(np.float64)).astype(np.int64)
+        n -= n * n > t
+        n += (n + 1) * (n + 1) <= t
+        sq = np.flatnonzero((t >= 1) & (n * n == t))
+        hits += zip(n[sq].tolist(), ps[sq].tolist(), [nu] * len(sq))
+        # p**(nu + 1) <= limit, tested before the product, which could
+        # overflow
+        more = ps <= limit // power
+        ps, power = ps[more], power[more] * ps[more]
+        nu += 1
     return sorted(hits)
 
 

@@ -108,6 +108,13 @@ def test_rho_table_matches_rho_property(d, limit):
         assert rhos[q] == congruence.rho(q, d), q
 
 
+@pytest.mark.parametrize("d", [-3, 2**62 - 1])
+def test_rho_table_matches_rho_at_verify_extreme_shifts(d):
+    # verify takes -3 <= d < 2**62; both ends reach the int64 _pow_mod
+    rhos = congruence.rho_table(3000, d)
+    assert rhos.tolist() == [0] + [congruence.rho(q, d) for q in range(1, 3001)]
+
+
 def test_odd_prime_counts():
     for p in (5, 13, 17, 97):
         assert congruence.rho(p, 1) == 2
@@ -139,6 +146,13 @@ def test_sqrt_mod_primes_matches_sqrt_mod_prime(d, ps):
         .tolist() == [congruence.quadratic_character(d, p) for p in odd]
 
 
+@pytest.mark.parametrize("d", [2**62 - 1, 2**63, 10**20, -10**20 - 7, 3**100])
+def test_quadratic_characters_of_a_shift_beyond_int64(d):
+    odd = PRIMES_1E5[1:]
+    assert congruence.quadratic_characters(d, odd).tolist() == \
+        [congruence.quadratic_character(d, p) for p in odd.tolist()]
+
+
 def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
     with pytest.raises(ValueError):
         congruence.sqrt_mod_primes(1, np.array([2**31 + 11], dtype=np.int64))
@@ -150,6 +164,16 @@ def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
 def test_prime_bits_match_miller_rabin(d, n_max):
     bits = congruence.prime_bits(n_max, d)
     assert bits.tolist() == \
+        [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("d", [-3, 0, 1, 7, 96])
+@pytest.mark.parametrize("block", [1, 64, 1000])
+def test_prime_bits_across_strike_blocks(monkeypatch, d, block):
+    # the primes above sqrt(n_max) strike in blocks of about block n each
+    monkeypatch.setattr(congruence, "_STRIKE_BLOCK", block)
+    n_max = 5000
+    assert congruence.prime_bits(n_max, d).tolist() == \
         [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
 
 

@@ -171,6 +171,65 @@ def test_prime_power_scan_vs_direct():
         assert primes.prime_power_scan(500, d) == sorted(direct)
 
 
+def prime_power_scan_loop(n_max: int, d: int) -> list:
+    """The scalar loop prime_power_scan ran before its array passes: every
+    prime power p**nu <= n_max**2 + d, nu >= 2, tested one at a time. Only
+    the radicand is clamped at 0, where the loop raised."""
+    if n_max < 1:
+        return []
+    limit = n_max * n_max + d
+    hits = []
+    for p in arith.primes_up_to(math.isqrt(max(limit, 0))).tolist():
+        v, nu = p * p, 2
+        while v <= limit:
+            t = v - d
+            if t >= 1:
+                n = math.isqrt(t)
+                if n * n == t and n <= n_max:
+                    hits.append((n, p, nu))
+            v *= p
+            nu += 1
+    return sorted(hits)
+
+
+def test_prime_power_scan_below_the_least_prime_power():
+    assert primes.prime_power_scan(1, -3) == []  # 1 - 3 < 0
+    assert primes.prime_power_scan(1, 2) == []  # 3 < 4
+    assert primes.prime_power_scan(1, 3) == [(1, 2, 2)]
+
+
+@pytest.mark.parametrize("d", range(-3, 101))
+def test_prime_power_scan_matches_loop(d):
+    for n_max in (1, 2, 3, 30, 2000):
+        assert primes.prime_power_scan(n_max, d) == \
+            prime_power_scan_loop(n_max, d), n_max
+
+
+@pytest.mark.parametrize("d", [1, 28, 97])
+def test_prime_power_scan_matches_loop_at_1e7(d):
+    # p * p**nu reaches 10**21 here; the scan stops each p before it
+    assert primes.prime_power_scan(10**7, d) == prime_power_scan_loop(10**7, d)
+
+
+def test_prime_power_scan_rejects_int64_squares():
+    with pytest.raises(OverflowError):
+        primes.prime_power_scan(1 << 31, 100 - (1 << 62))  # limit 100
+
+
+def test_fouvry_iwaniec_rejects_a_hit_that_does_not_divide(monkeypatch):
+    # shift every root mod p by one: row m = 1 then steps n = 0 (mod 2),
+    # whose values n**2 + 1 are odd
+    real = congruence.sqrt_mod_primes
+
+    def shifted(d, ps):
+        prime, root = real(d, ps)
+        return prime, (root + 1) % prime
+
+    monkeypatch.setattr(congruence, "sqrt_mod_primes", shifted)
+    with pytest.raises(ValueError):
+        primes.fouvry_iwaniec_sum(10**4)
+
+
 def test_lpf_records():
     rec = primes.largest_prime_factor_records(100, 1)
     # n = 2 opens the record list: P(5) = 5, exponent log 5 / log 2

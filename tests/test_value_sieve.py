@@ -26,10 +26,11 @@ def sieved_parts(sv: ValueSieve, size: int) -> list:
 
 
 def check_against_factorize(sv: ValueSieve, values: list):
+    # the base first, read off the hit counts before any factoring
+    base = sv.prime_power_base().tolist()
     assert np.all(np.diff(sv.hit_prime) >= 0)
     parts = sieved_parts(sv, len(values))
     largest = sv.largest_prime().tolist()
-    base = sv.prime_power_base().tolist()
     for i, v in enumerate(values):
         f = arith.factorize(v)
         assert parts[i] == f.parts, v
