@@ -149,7 +149,7 @@ _X_HELP = "cutoff for value sums / search boxes"
 _X = ("--x", float, 1e5, _X_HELP)
 _X_INT = ("--x", exact_int, 100_000, _X_HELP)
 _N = ("--n", exact_int, 100, "index bound (or modulus for `roots`)")
-_D = ("--d", int, 1, "shift in n^2 + d")
+_D = ("--d", exact_int, 1, "shift in n^2 + d")
 _EPSILON = ("--epsilon", float, 0.1, None)
 _ALPHA = ("--alpha", float, 0.5, None)
 _PRIME_BOUND = ("--prime-bound", exact_int, 10_000_000, None)

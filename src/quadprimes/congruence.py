@@ -20,7 +20,7 @@ from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
 # one costs little time and bounds the memory of its hit arrays.
 _ROW_BLOCK = 1 << 16
 
-# Most n that one block of prime_bits strikes through _stepped (one more
+# Most n that one block of prime_ns strikes through _stepped (one more
 # root's strikes may overrun it), which bounds the memory of its positions.
 _STRIKE_BLOCK = 1 << 16
 
@@ -332,52 +332,70 @@ def rho_table(limit: int, d: int) -> np.ndarray:
     return out
 
 
-def prime_bits(n_max: int, d: int) -> np.ndarray:
-    """bits[n] tells whether n**2 + d is prime, for 0 <= n <= n_max.
+def _n_limit(x: float, d: int) -> int:
+    """Largest n with n**2 + d <= x (0 when none)."""
+    if x < d + 1:
+        return 0
+    return math.isqrt(int(x) - d)
 
-    Each root r of each prime p <= isqrt(n_max**2 + d) strikes the n = r
-    (mod p): a strided pass bits[r::p] for each root of a prime p <=
-    isqrt(n_max), and for the larger primes, which strike few n each, the
-    positions from _stepped, in blocks of at most about _STRIKE_BLOCK. That
-    strikes the value p itself too, and strikes no value below 2, so the
-    values up to the largest such prime (at least 1) are read off the primes
+
+def _check_63_bits(n: int, d: int) -> None:
+    """OverflowError unless n**2 + |d| < 2**63, so that each value m**2 + d
+    with 0 <= m <= n, and -d, fit in int64."""
+    if n * n + abs(d) >= 1 << 63:
+        raise OverflowError("n**2 + d exceeds 63 bits")
+
+
+def prime_ns(n_max: int, d: int) -> np.ndarray:
+    """The n in [1, n_max] with n**2 + d prime, ascending.
+
+    Bits over [n_lo, n_max], n_lo the first n with n**2 + d >= 2: each root
+    r of each prime p <= isqrt(n_max**2 + d) strikes the n = r (mod p), by a
+    strided pass for a prime p <= isqrt(len(bits)), and for the larger
+    primes, which strike few n each, by the positions from _stepped, in
+    blocks of at most about _STRIKE_BLOCK. That strikes the value p itself
+    too, so the values up to the largest such prime are read off the primes
     instead. When the values are fewer than those primes (a small n_max with
-    a huge d), each value takes one Miller-Rabin test instead. Raises
+    a huge d), each value takes one Miller-Rabin test instead. Empty when
+    n_lo > n_max; else OverflowError when n_max**2 + |d| reaches 2**63, and
     ValueError before it allocates when n_max**2 + d exceeds
     PRIME_SIEVE_LIMIT**2, the reach of the prime sieve.
     """
-    if n_max < 0:
-        return np.zeros(0, dtype=bool)
+    n_lo = math.isqrt(max(1 - d, 0)) + 1
+    if n_max < n_lo:
+        return np.zeros(0, dtype=np.int64)
+    _check_63_bits(n_max, d)
     top = n_max * n_max + d
     if top > PRIME_SIEVE_LIMIT ** 2:
         raise ValueError(f"n**2 + d = {top} exceeds {PRIME_SIEVE_LIMIT ** 2}")
-    reach = math.isqrt(max(top, 0))
+    reach = math.isqrt(top)
     # Miller-Rabin when the values are fewer than the reach / log(reach) or
     # so primes that the sieve would step
-    if reach > 2 and n_max + 1 < reach / math.log(reach):
-        return np.array([is_prime_u64(n * n + d) for n in range(n_max + 1)])
+    if reach > 2 and n_max - n_lo + 1 < reach / math.log(reach):
+        return np.array([n for n in range(n_lo, n_max + 1)
+                         if is_prime_u64(n * n + d)], dtype=np.int64)
     ps = primes_up_to(reach)
     cap = int(ps[-1]) if len(ps) else 1
-    head = np.arange(min(n_max, math.isqrt(cap - d)) + 1 if cap >= d else 0)
+    head = np.arange(n_lo, min(n_max, math.isqrt(max(cap - d, 0))) + 1)
     v = head * head + d
     head_bits = ps[np.searchsorted(ps, v)] == v if len(ps) else False
     prime, root = sqrt_mod_primes(d, ps)
     del ps  # freed, and the bits allocated, only after the roots' peak
-    bits = np.ones(n_max + 1, dtype=bool)
-    small = np.searchsorted(prime, math.isqrt(n_max), side="right")
+    bits = np.ones(n_max - n_lo + 1, dtype=bool)
+    small = np.searchsorted(prime, math.isqrt(len(bits)), side="right")
     for p, r in zip(prime[:small].tolist(), root[:small].tolist()):
-        bits[r::p] = False
+        bits[(r - n_lo) % p::p] = False
     prime, root = prime[small:], root[small:]
     # cut the roots where the running count of their strikes passes each
-    # multiple of _STRIKE_BLOCK; each root strikes (n_max - r) // p + 1 n
-    ends = np.cumsum((n_max - root) // prime + 1)
+    # multiple of _STRIKE_BLOCK; each root strikes at most len(bits) // p + 1 n
+    ends = np.cumsum(len(bits) // prime + 1)
     total = int(ends[-1]) if len(ends) else 0
     cuts = np.searchsorted(ends, np.arange(_STRIKE_BLOCK, total, _STRIKE_BLOCK),
                            side="right").tolist()
     for a, b in zip([0, *cuts], [*cuts, len(prime)]):
-        bits[_stepped(root[a:b], prime[a:b], 0, n_max)[0]] = False
-    bits[head] = head_bits
-    return bits
+        bits[_stepped(root[a:b], prime[a:b], n_lo, n_max)[0]] = False
+    bits[head - n_lo] = head_bits
+    return np.flatnonzero(bits) + n_lo
 
 
 def _stepped(root: np.ndarray, step: np.ndarray, lo: int, hi: int):
@@ -481,8 +499,7 @@ class ValueSieve:
         isqrt(n_hi**2 + d) are found once."""
         if n_hi < n_lo:
             return
-        if n_hi * n_hi + abs(d) >= 1 << 63:
-            raise OverflowError("n**2 + d exceeds 63 bits")
+        _check_63_bits(n_hi, d)
         if n_lo < 0:
             raise ValueError("n_lo must be >= 0")
         if n_lo * n_lo + d < 1:

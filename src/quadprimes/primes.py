@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import _check_cutoff, _ordered_sum, primes_up_to
-from .congruence import ValueSieve, prime_bits, quadratic_characters
+from .congruence import ValueSieve, _n_limit, prime_ns, quadratic_characters
 
 _U64_MAX = (1 << 64) - 1
 
@@ -30,36 +30,25 @@ class QuadraticPrimeList:
         return tuple(b - a for a, b in zip(self.primes, self.primes[1:]))
 
 
-def _prime_members(top: int, d: int) -> np.ndarray:
-    """All 1 <= n <= top with n**2 + d prime, ascending."""
-    return np.flatnonzero(prime_bits(top, d)[1:]) + 1
-
-
 def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
-    """The n <= n_max with n**2 + d prime. ValueError when n_max**2 + d is
-    beyond the prime bits' reach, OverflowError beyond 64 bits."""
-    if n_max >= 1 and n_max * n_max + d > _U64_MAX:
-        raise OverflowError("n_max**2 + d exceeds 64 bits")
-    members = _prime_members(n_max, d).tolist()
+    """The n <= n_max with n**2 + d prime. ValueError or OverflowError as
+    prime_ns raises them."""
+    members = prime_ns(n_max, d).tolist()
     return QuadraticPrimeList(d, n_max, tuple(members),
                               tuple(n * n + d for n in members))
 
 
 def pi_f(x: float, d: int) -> int:
     """Count of primes of the form n**2 + d <= x, n >= 1. ValueError when x
-    is not finite or beyond the prime bits' reach."""
+    is not finite or beyond prime_ns's reach."""
     _check_cutoff(x)
-    if x < d + 1:
-        return 0
-    return len(_prime_members(math.isqrt(int(x) - d), d))
+    return len(prime_ns(_n_limit(x, d), d))
 
 
 def twin_quadratic_pairs(n_max: int) -> list:
     """All (n**2 + 1, n**2 + 3) with both entries prime, n <= n_max, ascending."""
-    if n_max >= 1 and n_max * n_max + 3 > _U64_MAX:
-        raise OverflowError("n_max**2 + 3 exceeds 64 bits")
-    both = np.flatnonzero(prime_bits(n_max, 1) & prime_bits(n_max, 3))
-    return [(n * n + 1, n * n + 3) for n in both.tolist()]
+    both = set(prime_ns(n_max, 1).tolist()) & set(prime_ns(n_max, 3).tolist())
+    return [(n * n + 1, n * n + 3) for n in sorted(both)]
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FactorSieve, _check_cutoff, _ordered_sum
-from .congruence import ValueSieve, prime_bits, roots_mod
+from .congruence import ValueSieve, _n_limit, prime_ns, roots_mod
 from .primes import prime_power_scan
 
 # Largest x that _expansion sieves. Its time and memory grow with sqrt(x):
 # at x = 10**12 (10**6 values) the default verify checks need over 1 GiB.
 SUM_X_LIMIT = 10**12
-
-
-def _n_limit(x: float, d: int) -> int:
-    """Largest n with n**2 + d <= x (0 when none)."""
-    if x < d + 1:
-        return 0
-    return math.isqrt(int(x) - d)
 
 
 def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
@@ -37,9 +30,8 @@ def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
         return []
     if n_lo * n_lo + d < 1:
         raise ValueError(f"n**2 + d < 1 at n = {n_lo}")
-    bits = prime_bits(n_max, d)
-    terms = [(n, math.log(n * n + d))
-             for n in (np.flatnonzero(bits[n_lo:]) + n_lo).tolist()]
+    terms = [(n, math.log(n * n + d)) for n in prime_ns(n_max, d).tolist()
+             if n >= n_lo]
     terms += [(n, math.log(p)) for n, p, _ in prime_power_scan(n_max, d)
               if n >= n_lo]
     return sorted(terms)
@@ -123,7 +115,7 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     sub-partition the large part by omega(q) <= / > ceil(log log x).
 
     The squarefree divisors and omega(q) come from one ValueSieve; the left
-    side is lhs_sum, an independent route through the prime bits.
+    side is lhs_sum, an independent route through prime_ns.
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")

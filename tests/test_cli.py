@@ -189,6 +189,22 @@ def test_exact_int_parses_without_rounding():
     assert exact_int("1000000000000000009") == 10**18 + 9
 
 
+def test_shift_in_e_notation_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--n", "1009", "--d", "1e3")
+    assert code == 0
+    assert out == run_cli(capsys, "roots", "--n", "1009", "--d", "1000")[1]
+    assert out.split("\n")[1].startswith("1009,1000,")
+
+
+def test_primes_of_values_all_below_2_are_empty(capsys):
+    code, out, _ = run_cli(capsys, "primes", "--n", "100",
+                           "--d", "-100000000000000000000")
+    assert code == 0
+    assert out == "n,prime\n"
+    assert run_cli(capsys, "primes", "--n", "1e9", "--d=-1e18") == \
+        (0, "n,prime\n", "")
+
+
 def test_roots_of_modulus_beyond_double_precision(capsys):
     code, out, _ = run_cli(capsys, "roots", "--n", "1000000000000000009")
     assert code == 0
@@ -201,6 +217,8 @@ def test_roots_of_modulus_beyond_double_precision(capsys):
     ("roots", "--n"), ("primes", "--n"), ("psi", "--n"),
     ("verify", "--prime-bound"), ("constants", "--prime-bound"),
     ("verify", "--psi-n"), ("nagell", "--x"), ("stats", "--x"),
+    ("verify", "--d"), ("sum", "--d"), ("roots", "--d"), ("primes", "--d"),
+    ("constants", "--d"), ("nagell", "--d"),
 ])
 @pytest.mark.parametrize("value", ["65.7", "nan", "inf", "0x10",
                                    "1e100000000"])

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,13 +159,18 @@ def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
         congruence.sqrt_mod_primes(1, np.array([2**31 + 11], dtype=np.int64))
 
 
+def prime_ns_by_miller_rabin(n_max, d):
+    return [n for n in range(1, n_max + 1) if arith.is_prime_u64(n * n + d)]
+
+
+# test_prime_bits_* test prime_ns, which sieves the prime bits of n**2 + d.
 @pytest.mark.parametrize("d", [-9, -4, -3, -2, -1, 0, 1, 2, 3, 28, 100,
-                               10**6, 10**10, 10**14])
+                               10**6, 10**10, 10**14, -10**20])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 10**3, 2 * 10**4])
 def test_prime_bits_match_miller_rabin(d, n_max):
-    bits = congruence.prime_bits(n_max, d)
-    assert bits.tolist() == \
-        [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
+    ns = congruence.prime_ns(n_max, d)
+    assert ns.dtype == np.int64
+    assert ns.tolist() == prime_ns_by_miller_rabin(n_max, d)
 
 
 @pytest.mark.parametrize("d", [-3, 0, 1, 7, 96])
@@ -173,8 +179,8 @@ def test_prime_bits_across_strike_blocks(monkeypatch, d, block):
     # the primes above sqrt(n_max) strike in blocks of about block n each
     monkeypatch.setattr(congruence, "_STRIKE_BLOCK", block)
     n_max = 5000
-    assert congruence.prime_bits(n_max, d).tolist() == \
-        [arith.is_prime_u64(n * n + d) for n in range(n_max + 1)]
+    assert congruence.prime_ns(n_max, d).tolist() == \
+        prime_ns_by_miller_rabin(n_max, d)
 
 
 def test_prime_bits_few_values_skip_the_sieve(monkeypatch):
@@ -182,13 +188,38 @@ def test_prime_bits_few_values_skip_the_sieve(monkeypatch):
         raise AssertionError(f"primes_up_to({limit}) called")
 
     monkeypatch.setattr(congruence, "primes_up_to", refuse)
-    bits = congruence.prime_bits(10, 10**14)
-    assert bits.dtype == bool
-    assert bits.tolist() == \
-        [arith.is_prime_u64(n * n + 10**14) for n in range(11)]
+    ns = congruence.prime_ns(10, 10**14)
+    assert ns.dtype == np.int64
+    assert ns.tolist() == prime_ns_by_miller_rabin(10, 10**14)
 
 
 def test_prime_bits_reach():
     with pytest.raises(ValueError):  # 10**16 + 1
-        congruence.prime_bits(arith.PRIME_SIEVE_LIMIT, 1)
-    assert congruence.prime_bits(-1, 1).tolist() == []
+        congruence.prime_ns(arith.PRIME_SIEVE_LIMIT, 1)
+    with pytest.raises(OverflowError):
+        congruence.prime_ns(4 * 10**9, 1)
+    with pytest.raises(OverflowError):  # values from 2 up, d beyond int64
+        congruence.prime_ns(10**10 + 1, -10**20)
+    assert congruence.prime_ns(-1, 1).tolist() == []
+    # no value reaches 2: nothing is sieved, and nothing overflows
+    assert congruence.prime_ns(10**9, -10**18).tolist() == []
+    assert congruence.prime_ns(0, 10**20).tolist() == []
+
+
+_SHIFTS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(lambda k, e: -k * k + e, st.integers(0, 6000),
+              st.integers(-50, 50)))
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@settings(max_examples=100, deadline=None)
+@given(n_max=st.integers(0, 6000), d=_SHIFTS)
+@example(n_max=6000, d=-6000**2 + 2)
+@example(n_max=1, d=1)
+@example(n_max=2, d=-2)
+def test_prime_ns_matches_miller_rabin(block, n_max, d):
+    with mock.patch.object(congruence, "_STRIKE_BLOCK",
+                           block or congruence._STRIKE_BLOCK):
+        assert congruence.prime_ns(n_max, d).tolist() == \
+            prime_ns_by_miller_rabin(n_max, d)

@@ -28,6 +28,18 @@ def test_quadratic_primes_overflow():
         primes.quadratic_primes(2 ** 33, 1)
 
 
+def test_quadratic_primes_of_values_below_2_allocate_nothing():
+    # n**2 - 10**14 <= 0 for every n <= 10**7: nothing is sieved
+    tracemalloc.start()
+    try:
+        qp = primes.quadratic_primes(10**7, -10**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qp.members == qp.primes == ()
+    assert peak < 1 << 20
+
+
 def test_beyond_prime_bits_reach_raises():
     with pytest.raises(ValueError):
         primes.quadratic_primes(10**8 + 1, 1)
