@@ -18,14 +18,6 @@ from .report import _num
 from .verify import SuiteParams, run_suite
 
 
-def _write(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _table(header: list, rows: list, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
@@ -37,21 +29,21 @@ def _table(header: list, rows: list, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     params = SuiteParams(x=args.x, d=args.d, epsilon=args.epsilon,
                          prime_bound=args.prime_bound, fi_x=args.fi_x,
                          psi_n=args.psi_n)
     report = run_suite(params)
     if args.format == "csv":
-        _write(report.to_csv(), args.out)
+        out.write(report.to_csv())
     else:
-        _write(report.to_json() + "\n", args.out)
+        out.write(report.to_json() + "\n")
     for c in report.checks:
         print(f"{c.status:4s}  {c.id}  ({c.ms:.0f} ms)", file=sys.stderr)
     return 0 if report.status == "pass" else 1
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args, out) -> int:
     dec = sums.dyadic_split(args.x, args.d, args.epsilon)
     rows = [
         ("lhs", dec.lhs),
@@ -66,25 +58,25 @@ def _cmd_sum(args) -> int:
     if args.alpha != 0.5:
         rows.append((f"lhs_alpha_{args.alpha}",
                      sums.lhs_sum(args.x, args.d, args.alpha)))
-    _write(_table(["quantity", "value"], rows, args.format), args.out)
+    out.write(_table(["quantity", "value"], rows, args.format))
     return 0
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args, out) -> int:
     rs = congruence.roots_mod(args.n, args.d)
     rows = [(args.n, args.d, r) for r in rs.roots]
-    _write(_table(["modulus", "shift", "root"], rows, args.format), args.out)
+    out.write(_table(["modulus", "shift", "root"], rows, args.format))
     return 0
 
 
-def _cmd_primes(args) -> int:
+def _cmd_primes(args, out) -> int:
     qp = primes.quadratic_primes(args.n, args.d)
     rows = list(zip(qp.members, qp.primes))
-    _write(_table(["n", "prime"], rows, args.format), args.out)
+    out.write(_table(["n", "prime"], rows, args.format))
     return 0
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args, out) -> int:
     hl = primes.hardy_littlewood_constant(args.d, args.prime_bound)
     b = lcmpsi.B_constant(args.prime_bound)
     kq = primes.kappa_quadrature()
@@ -95,31 +87,31 @@ def _cmd_constants(args) -> int:
         ("kappa_quadrature", 0, kq, kq, None),
         ("kappa_gamma", 0, kg, kg, None),
     ]
-    _write(_table(["name", "truncation_bound", "raw", "averaged", "reference"],
-                  rows, args.format), args.out)
+    out.write(_table(["name", "truncation_bound", "raw", "averaged", "reference"],
+                     rows, args.format))
     return 0
 
 
-def _cmd_nagell(args) -> int:
+def _cmd_nagell(args, out) -> int:
     sols = nagell.lebesgue_nagell_solve(args.d, args.x)
     rows = [(s.x, s.y, s.n) for s in sols]
-    _write(_table(["x", "y", "n"], rows, args.format), args.out)
+    out.write(_table(["x", "y", "n"], rows, args.format))
     return 0
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args, out) -> int:
     tr = lcmpsi.psi_residual_trend(args.n)
     rows = list(zip(tr.ns, tr.psi, tr.residuals))
-    _write(_table(["n", "psi", "residual"], rows, args.format), args.out)
+    out.write(_table(["n", "psi", "residual"], rows, args.format))
     print(f"fitted_slope {tr.fitted_slope!r}  (B used: {tr.B_used!r})",
           file=sys.stderr)
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args, out) -> int:
     h = stats.omega_histogram(args.x)
     rows = [(k, c) for k, c in enumerate(h.counts)]
-    _write(_table(["k", "pi_k"], rows, args.format), args.out)
+    out.write(_table(["k", "pi_k"], rows, args.format))
     return 0
 
 
@@ -187,11 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Opened before the computation, so that a path that cannot be written
+    # fails at once, not after the work.
     try:
-        return args.handler(args)
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        return args.handler(args, out)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -20,6 +20,14 @@ from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
 # one costs little time and bounds the memory of its hit arrays.
 _ROW_BLOCK = 1 << 16
 
+# Most roots that roots_mod lists, and that a Hensel lift of one prime power
+# holds. A root set can be as large as about sqrt(q) (rho(10**(2k), 0) =
+# 10**k) or 2**k (a product of k split primes), and each root costs about
+# 300 bytes on its way through the CLI (19 MiB for 2**16 roots). rho_table
+# lifts only p**e <= its limit, whose rho(p**e) <= 4 sqrt(p**e) stays below
+# this bound for every limit up to 10**8.
+ROOTS_LIMIT = 1 << 16
+
 # Most n that one block of prime_ns strikes through _stepped (one more
 # root's strikes may overrun it), which bounds the memory of its positions.
 _STRIKE_BLOCK = 1 << 16
@@ -215,6 +223,8 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
 
     Nonsingular roots (p does not divide 2r) lift uniquely via Newton's step;
     singular ones (only possible when p divides 2d) branch over t in [0, p).
+    Raises ValueError before the roots mod some p**j, j <= k, pass
+    ROOTS_LIMIT.
     """
     if p == 2:
         roots = [(-d) % 2]
@@ -231,6 +241,10 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
                 lifted.append((r - fr * inv) % mod_next)
             else:
                 if fr == 0:
+                    if len(lifted) + p > ROOTS_LIMIT:
+                        raise ValueError(
+                            f"n**2 + {d} has more than {ROOTS_LIMIT} roots "
+                            f"mod {mod_next}")
                     lifted.extend(r + t * mod for t in range(p))
         roots = sorted(set(lifted))
         mod = mod_next
@@ -251,18 +265,27 @@ class RootSet:
 
 
 def roots_mod(q: int, d: int) -> RootSet:
-    """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT."""
+    """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT.
+
+    Raises ValueError when q has more than ROOTS_LIMIT roots, or when the
+    lift of one of its prime powers passes ROOTS_LIMIT on the way.
+    """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q == 1:
         return RootSet(1, d, (0,))
-    residues = [0]
-    mod = 1
+    lifts = []
     for p, e in factorize(q).parts:
-        pe = p ** e
         local = _lift_prime_power(p, e, d)
         if not local:
             return RootSet(q, d, ())
+        lifts.append((p ** e, local))
+    if math.prod(len(local) for _, local in lifts) > ROOTS_LIMIT:
+        raise ValueError(
+            f"n**2 + {d} has more than {ROOTS_LIMIT} roots mod {q}")
+    residues = [0]
+    mod = 1
+    for pe, local in lifts:
         inv = pow(mod % pe, -1, pe) if mod % pe else None
         if inv is None:  # mod and pe share a factor: impossible, parts are coprime
             raise AssertionError

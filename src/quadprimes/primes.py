@@ -113,15 +113,14 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
 
 def kappa_quadrature() -> float:
     """Integral of sqrt(1 - t**4) over [0, 1], by adaptive quadrature:
-    QUADPACK's QAGS, which extrapolates past the square-root singularity at
-    t = 1 (315 integrand calls)."""
+    bisection and the epsilon algorithm of QUADPACK's QAGS, which
+    extrapolates past the square-root singularity at t = 1 (315 integrand
+    calls)."""
     # Imported here, not at module level: only this function needs the
-    # port, so importing the package does not load it (about 5 ms where
-    # bytecode is not cached).
-    from .quadrature import qags
+    # integrator, so importing the package does not load it.
+    from .quadrature import _integrate
 
-    return qags(lambda t: math.sqrt(1.0 - t ** 4), 0.0, 1.0,
-                epsabs=1e-13, epsrel=1e-13).value
+    return _integrate(lambda t: math.sqrt(1.0 - t ** 4), 0.0, 1.0)
 
 
 def kappa_gamma() -> float:

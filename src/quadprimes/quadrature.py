@@ -1,21 +1,20 @@
-"""Adaptive quadrature on a finite interval: a port of QUADPACK's QAGS.
+"""kappa's integrator: the bisection and extrapolation of QUADPACK's QAGS.
 
-QAGS is the routine ``dqagse`` of Piessens, de Doncker-Kapenga, Ueberhuber
-and Kahaner, *QUADPACK* (Springer, 1983), with its helpers ``dqk21`` (the
-21-point Gauss-Kronrod rule), ``dqpsrt`` (the ordered error list) and
-``dqelg`` (the epsilon algorithm). It bisects the subinterval with the
-largest error estimate and extrapolates the sequence of sums, so it handles
-end-point singularities such as that of sqrt(1 - t**4) at t = 1.
-
-The port does every floating-point operation of the Fortran in the same
-order, so it returns the same bits as ``scipy.integrate.quad`` on a finite
-interval. Arrays keep Fortran's 1-based indices: element 0 is unused.
+QAGS is ``dqagse`` of Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+*QUADPACK* (Springer, 1983). This module keeps the two parts that set the
+value of kappa, the integral of sqrt(1 - t**4) over [0, 1]: ``dqk21``, the
+21-point Gauss-Kronrod rule, and ``dqelg``, Wynn's epsilon algorithm (MTAC
+10, 1956), which extrapolates past the singularity at t = 1. Both do every
+floating-point operation of the Fortran in its order, and the bisection
+loop takes dqagse's path on that integral, so kappa has the bits of
+``scipy.integrate.quad`` at epsabs = epsrel = 1e-13. Arrays keep Fortran's
+1-based indices: element 0 is unused.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable
 
 # d1mach(4), d1mach(1), d1mach(2): relative spacing, smallest normal and
 # largest finite double.
@@ -23,55 +22,22 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
 
-# The 21-point Kronrod rule and its embedded 10-point Gauss rule, as printed
-# in QUADPACK. XGK[2], XGK[4], ..., XGK[10] are the Gauss nodes, with weights
-# WG[1..5]; XGK[11] is the centre.
+# The 21-point Kronrod rule and its embedded 10-point Gauss rule: QUADPACK's
+# 33-digit constants, as the doubles they round to. XGK[2], XGK[4], ...,
+# XGK[10] are the Gauss nodes, with weights WG[1..5]; XGK[11] is the centre.
 _XGK = (None,
-        0.995657163025808080735527280689003,
-        0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508,
-        0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042,
-        0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694,
-        0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866,
-        0.148874338981631210884826001129720,
-        0.000000000000000000000000000000000)
+        0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122, 0.0)
 _WGK = (None,
-        0.011694638867371874278064396062192,
-        0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580,
-        0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366,
-        0.109387158802297641899210590325805,
-        0.123491976262065851077208977617462,
-        0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717,
-        0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
+        0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169)
 _WG = (None,
-       0.066671344308688137593568809893332,
-       0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163,
-       0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-
-
-class QagsResult(NamedTuple):
-    """What dqagse returns: the integral, its error estimate, the number of
-    integrand calls, the exit code ``ier`` and the number of subintervals.
-
-    ier is 0 on success, 1 when ``limit`` subintervals were used, 2 on
-    roundoff, 3 on bad integrand behaviour at a point, 4 when extrapolation
-    did not converge, 5 when the integral is probably divergent and 6 on
-    invalid tolerances."""
-
-    value: float
-    abserr: float
-    neval: int
-    ier: int
-    last: int
+       0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
 
 
 def _dqk21(f: Callable[[float], float], a: float, b: float):
@@ -124,373 +90,109 @@ def _dqk21(f: Callable[[float], float], a: float, b: float):
     return result, abserr, resabs, resasc
 
 
-def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list,
-            nrmax: int):
-    """Keep iord[1..] listing the subintervals by descending error after the
-    one at maxerr was split into maxerr and last; return the next (maxerr,
-    errmax, nrmax)."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        # Subdivision can raise the error estimate: move maxerr up past
-        # smaller entries first.
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        # Only the first jupbn entries are kept in order: the rest can never
-        # be bisected within the limit.
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        # Insert errmax top-down, then errmin bottom-up.
-        jbnd = jupbn - 1
-        ibeg = nrmax + 1
-        for i in range(ibeg, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+# The tolerance, absolute and relative, and the most bisections.
+_TOL = 1e-13
+_BISECTIONS = 50
 
 
-class _Epsilon:
-    """The epsilon-algorithm table of dqelg and the last three results,
-    which dqelg keeps across calls."""
-
-    def __init__(self):
-        self.epstab = [0.0] * 53  # rlist2(52), 1-based
-        self.n = 0  # numrl2: the table's length, which dqelg rewrites
-        self.res3la = [0.0] * 4
-        self.nres = 0
-
-    def extrapolate(self):
-        """dqelg: the extrapolated limit of epstab[1..n] and its error."""
-        epstab = self.epstab
-        n = self.n
-        self.nres += 1
-        abserr = _OFLOW
-        result = epstab[n]
-        if n >= 3:
-            limexp = 50
-            epstab[n + 2] = epstab[n]
-            newelm = (n - 1) // 2
-            epstab[n] = _OFLOW
-            num = n
-            k1 = n
-            converged = False
-            for i in range(1, newelm + 1):
-                k2 = k1 - 1
-                k3 = k1 - 2
-                res = epstab[k1 + 2]
-                e0 = epstab[k3]
-                e1 = epstab[k2]
-                e2 = res
-                e1abs = abs(e1)
-                delta2 = e2 - e1
-                err2 = abs(delta2)
-                tol2 = max(abs(e2), e1abs) * _EPMACH
-                delta3 = e1 - e0
-                err3 = abs(delta3)
-                tol3 = max(e1abs, abs(e0)) * _EPMACH
-                if not (err2 > tol2 or err3 > tol3):
-                    # e0, e1 and e2 agree to machine accuracy.
-                    result = res
-                    abserr = err2 + err3
-                    converged = True
-                    break
-                e3 = epstab[k1]
-                epstab[k1] = e1
-                delta1 = e1 - e3
-                err1 = abs(delta1)
-                tol1 = max(e1abs, abs(e3)) * _EPMACH
-                # Two close elements, or irregular behaviour: drop the part
-                # of the table from here on.
-                if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                    n = i + i - 1
-                    break
-                ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-                epsinf = abs(ss * e1)
-                if not epsinf > 1e-4:
-                    n = i + i - 1
-                    break
-                res = e1 + 1.0 / ss
-                epstab[k1] = res
-                k1 = k1 - 2
-                error = err2 + abs(res - e2) + err3
-                if error > abserr:
-                    continue
-                abserr = error
-                result = res
-            if not converged:
-                # Shift the table.
-                if n == limexp:
-                    n = 2 * (limexp // 2) - 1
-                ib = 2 if num % 2 == 0 else 1
-                for _ in range(newelm + 1):
-                    ib2 = ib + 2
-                    epstab[ib] = epstab[ib2]
-                    ib = ib2
-                if num != n:
-                    indx = num - n + 1
-                    for i in range(1, n + 1):
-                        epstab[i] = epstab[indx]
-                        indx += 1
-                res3la = self.res3la
-                if self.nres < 4:
-                    res3la[self.nres] = result
-                    abserr = _OFLOW
-                else:
-                    abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                              + abs(result - res3la[1]))
-                    res3la[1] = res3la[2]
-                    res3la[2] = res3la[3]
-                    res3la[3] = result
-        self.n = n
-        abserr = max(abserr, 5.0 * _EPMACH * abs(result))
-        return result, abserr
-
-
-def qags(f: Callable[[float], float], a: float, b: float, epsabs: float,
-         epsrel: float, limit: int = 50) -> QagsResult:
-    """The integral of f over [a, b] to within max(epsabs, epsrel |value|),
-    using at most ``limit`` subintervals: QUADPACK's dqagse.
-
-    f takes and returns a float. b < a is allowed and gives the negated
-    integral. The result is bit-identical to ``scipy.integrate.quad(f, a, b,
-    epsabs=epsabs, epsrel=epsrel, limit=limit)``; a nonzero ``ier`` is where
-    quad would warn (or raise, for ier = 6).
+def _dqelg(epstab: list, n: int, res3la: list, nres: int):
+    """dqelg: (n, limit, error estimate) of the sums epstab[1..n] by the
+    epsilon algorithm, for its nres-th call. The table and the last three
+    results res3la[1..3] change in place, and the table's length becomes n.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return QagsResult(0.0, 0.0, 0, 6, 0)
-    a = float(a)
-    b = float(b)
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    ier = 0
-    alist[1] = a
-    blist[1] = b
-
-    # First approximation to the integral.
-    ierro = 0
-    result, abserr, defabs, resabs = _dqk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return QagsResult(result, abserr, 21, ier, last)
-
-    eps = _Epsilon()
-    rlist2 = eps.epstab
-    rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
+    if n < 3:  # the table was cut to one sum
+        return n, epstab[n], _OFLOW
+    num = n
     abserr = _OFLOW
-    nrmax = 1
-    eps.n = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    ksgn = -1
-    if dres >= (1.0 - 50.0 * _EPMACH) * defabs:
-        ksgn = 1
-    correc = erlarg = ertest = small = 0.0
-
-    # The main loop. Each pass bisects the subinterval with the nrmax-th
-    # largest error estimate; every pass ends in a jump out of the loop by
-    # the time last == limit, as ier is then 1.
-    sum_rlist = False
-    for last in range(2, limit + 1):
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, resabs, defab1 = _dqk21(f, a1, b1)
-        area2, error2, resabs, defab2 = _dqk21(f, a2, b2)
-
-        # Improve the previous approximations and test for accuracy.
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-
-        # Roundoff, the subdivision limit, and bad behaviour at a point.
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if (max(abs(a1), abs(b2))
-                <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
-            ier = 4
-
-        # Append the new subintervals, the larger error at maxerr.
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-
-        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord,
-                                        nrmax)
-        if errsum <= errbnd:
-            sum_rlist = True
+    result = epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    k1 = n
+    for i in range(1, newelm + 1):
+        e0, e1, e2 = epstab[k1 - 2], epstab[k1 - 1], epstab[k1 + 2]
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), abs(e1)) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(abs(e1), abs(e0)) * _EPMACH
+        if not (err2 > tol2 or err3 > tol3):
+            # e0, e1 and e2 agree to machine accuracy.
+            return num, e2, max(err2 + err3, 5.0 * _EPMACH * abs(e2))
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(abs(e1), abs(e3)) * _EPMACH
+        # Two close elements, or irregular behaviour: drop the part of the
+        # table from here on.
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
             break
-        if ier != 0:
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        if not abs(ss * e1) > 1e-4:
+            n = i + i - 1
             break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 -= 2
+        error = err2 + abs(res - e2) + err3
+        if error <= abserr:
+            abserr = error
+            result = res
+    # Shift the table to its lower diagonal, and truncate it to n.
+    for ib in range(2 - num % 2, 2 - num % 2 + 2 * newelm + 1, 2):
+        epstab[ib] = epstab[ib + 2]
+    epstab[1:n + 1] = epstab[num - n + 1:num + 1]
+    # The error is rated by the distance to the last three results.
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                  + abs(result - res3la[1]))
+        res3la[1:] = res3la[2], res3la[3], result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result))
+
+
+def _integrate(f: Callable[[float], float], a: float, b: float) -> float:
+    """The integral of f over [a, b]: bisect the subinterval with the largest
+    error estimate, extrapolate the sums from the second bisection on, and
+    return the extrapolation with the smallest error estimate once that is
+    within max(1e-13, 1e-13 |value|). ArithmeticError after 50 bisections.
+
+    This serves kappa's bounded integrand. It has none of dqagse's tests
+    for roundoff, bad behaviour at a point or divergence: on the divergent
+    integral of t**-1.5 over [0, 1] it returns -2."""
+    area, error, _, _ = _dqk21(f, a, b)
+    # The subintervals: (left end, right end, sum, error estimate).
+    parts = [(a, b, area, error)]
+    # dqelg's table: the first rule's sum, one per bisection, and two cells
+    # it writes past the end.
+    epstab = [0.0] * (_BISECTIONS + 4)
+    epstab[1] = area
+    n = 1
+    res3la = [0.0] * 4
+    result, abserr = area, _OFLOW
+    for bisection in range(_BISECTIONS):
+        i = max(range(len(parts)), key=lambda j: parts[j][3])
+        a1, b2, old, _ = parts[i]
+        b1 = 0.5 * (a1 + b2)
+        area1, error1, _, _ = _dqk21(f, a1, b1)
+        area2, error2, _, _ = _dqk21(f, b1, b2)
+        # The new pair comes in before the old part leaves, as in dqagse:
+        # the bits depend on this order.
+        area = area + (area1 + area2) - old
+        parts[i] = (a1, b1, area1, error1)
+        parts.append((b1, b2, area2, error2))
+        n += 1
+        epstab[n] = area
+        if bisection == 0:
             continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Extrapolate only once the interval to bisect next is the
-            # smallest one.
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # The smallest interval has the largest error: before bisecting,
-            # bisect the larger intervals while erlarg exceeds ertest.
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-
-        # Extrapolate.
-        eps.n += 1
-        rlist2[eps.n] = area
-        reseps, abseps = eps.extrapolate()
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-
-        # Prepare to bisect the smallest interval.
-        if eps.n == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    # The final result and error estimate: the sum over the subintervals
-    # when no extrapolation succeeded, or when its relative error is the
-    # larger one.
-    if not sum_rlist and abserr == _OFLOW:
-        sum_rlist = True
-    elif not sum_rlist:
-        test_divergence = True
-        if ier + ierro != 0:
-            if ierro == 3:
-                abserr = abserr + correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                sum_rlist = abserr / abs(result) > errsum / abs(area)
-            elif abserr > errsum:
-                sum_rlist = True
-            elif area == 0.0:
-                test_divergence = False
-        if test_divergence and not sum_rlist and not (
-                ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-            # errsum > errbnd >= 0 here, so the first test is true when
-            # area == 0, and the quotient is only taken where it exists.
-            if (errsum > abs(area) or 0.01 > result / area
-                    or result / area > 100.0):
-                ier = 6
-    if sum_rlist:
-        # The sum of the subintervals' results, left to right.
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    if ier > 2:
-        ier -= 1
-    return QagsResult(result, abserr, 42 * last - 21, ier, last)
-
+        n, reseps, abseps = _dqelg(epstab, n, res3la, bisection)
+        if abseps < abserr:
+            result, abserr = reseps, abseps
+            if abserr <= max(_TOL, _TOL * abs(result)):
+                return result
+    raise ArithmeticError(f"no convergence in {_BISECTIONS} bisections: "
+                          f"{result!r}, error estimate {abserr!r}")

@@ -306,3 +306,30 @@ def test_beyond_search_bound_exits_2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--n", "1e30", "--d", "0"],
+    ["roots", "--n", "68314842068663755945783321926605"],
+])
+def test_roots_beyond_roots_limit_exit_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "more than 65536 roots" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["roots", "--n", "65"]])
+def test_out_path_that_cannot_be_opened_exits_2(tmp_path, argv):
+    """The path is opened before the computation: verify fails at once, not
+    after its whole suite, and without a traceback."""
+    dest = tmp_path / "no-such-dir" / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv,
+                           "--out", str(dest)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write --out {dest}: " \
+        "No such file or directory\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadprimes import arith, congruence
+from quadprimes import arith, congruence, stats
 
 SIEVE = arith.FactorSieve(10_000)
 
@@ -46,6 +46,45 @@ def test_roots_mod_examples():
     rs = congruence.roots_mod(65, 1)
     assert rs.roots == (8, 18, 47, 57)
     assert rs.count == 4
+
+
+# The first 17 primes = 1 (mod 4): n**2 + 1 has 2**17 roots mod their product.
+SPLIT_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137,
+                149, 157)
+
+
+@pytest.mark.parametrize("q, d", [
+    (10**30, 0),  # the lift of 5**30 passes the bound at 5**14
+    (3**24, 3**23),  # rho(3**24) = 0, but the lift holds 3**11 roots mod 3**23
+    (math.prod(SPLIT_PRIMES), 1),  # 2**17 roots from the CRT product
+])
+def test_roots_beyond_roots_limit_raise(q, d):
+    with pytest.raises(ValueError, match="more than 65536 roots"):
+        congruence.roots_mod(q, d)
+    with pytest.raises(ValueError, match="more than 65536 roots"):
+        congruence.rho(q, d)
+
+
+def test_roots_at_roots_limit_are_listed():
+    assert congruence.ROOTS_LIMIT == 2**16
+    assert congruence.rho(math.prod(SPLIT_PRIMES[:16]), 1) == 2**16
+    assert congruence.rho(2**32, 0) == 2**16
+
+
+def test_rho_table_hensel_factors_stay_below_roots_limit():
+    """rho_table lifts the p**e <= limit with p dividing 2d, and rho(p**e) <=
+    4 sqrt(p**e) (see rho-omega-bound's proof), so up to the largest table
+    that high_omega_mass reads, no lift reaches ROOTS_LIMIT."""
+    limit = stats.OMEGA_SIEVE_LIMIT
+    assert 4 * math.isqrt(limit) < congruence.ROOTS_LIMIT
+    for p, d in [(2, 0), (2, 2**26), (2, 7 * 2**20), (3, 0), (3, 3**16),
+                 (9973, 0), (9973, -9973**2)]:
+        e = int(math.log(limit, p))
+        assert p ** e <= limit < p ** (e + 1)
+        for k in range(1, e + 1):
+            rho = len(congruence._lift_prime_power(p, k, d))
+            assert rho <= 4 * math.isqrt(p ** k)
+    assert congruence.rho_table(10**5, 0)[2**16] == 2**8
 
 
 def test_rho_examples():
