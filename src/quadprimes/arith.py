@@ -1,10 +1,12 @@
 """Sieve-backed arithmetic functions and deterministic 64-bit primality.
 
-``primes_up_to`` is the one Eratosthenes sieve; the smallest-prime-factor table
-is a strided pass over its primes. With that table Mobius, von Mangoldt, omega
-and full factorizations are O(log n) per query. Everything above the table's
-limit falls back to direct factorization (trial division + Pollard rho) and a
-deterministic Miller-Rabin test.
+``primes_up_to`` is the one Eratosthenes sieve. The smallest-prime-factor
+table of ``FactorSieve`` is a strided pass over its primes; it factors and
+counts omega in O(log n) per query, and is the tests' oracle. Mobius, von
+Mangoldt and the squarefree divisors factor n directly (trial division +
+Pollard rho), with a deterministic Miller-Rabin test. ``_prime_multiples`` is
+the one walk over the multiples of a set of primes, which the omega and rho
+tables share.
 """
 
 from __future__ import annotations
@@ -167,7 +169,11 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 without a sieve: trial division then Pollard rho."""
+    """Factor n >= 1 without a sieve: trial division then Pollard rho.
+
+    ValueError when the cofactor of n left after the primes up to 97 is
+    2**64 or more, beyond the reach of the Miller-Rabin test.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     parts = {}
@@ -176,6 +182,9 @@ def factorize(n: int) -> Factorization:
         while m % p == 0:
             parts[p] = parts.get(p, 0) + 1
             m //= p
+    if m >= 1 << 64:
+        raise ValueError(f"cannot factor {n}: the cofactor {m} left after "
+                         f"the primes up to 97 is 2**64 or more")
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -226,6 +235,25 @@ def primes_up_to(limit: int) -> np.ndarray:
     return ps
 
 
+def _prime_multiples(ps: np.ndarray, limit: int):
+    """Yield (at, which) over the multiples k*p <= limit of every prime p of
+    ps (ascending, each <= limit), each multiple of each prime once: ``at``
+    indexes the multiples, ``which`` the position in ps of their primes.
+    A prime p <= sqrt(limit) yields one strided slice, at = p, 2p, ...; the
+    larger primes have few multiples each, and yield one index array per
+    multiplier m, at = m * ps[which] with ``which`` a slice of ps, distinct
+    indices within one array."""
+    small = int(np.searchsorted(ps, math.isqrt(limit), side="right"))
+    for j, p in enumerate(ps[:small].tolist()):
+        yield slice(p, None, p), j
+    big = ps[small:]
+    m = 1
+    while len(big):
+        yield big * m, slice(small, small + len(big))
+        m += 1
+        big = big[: np.searchsorted(big, limit // m, side="right")]
+
+
 class FactorSieve:
     """Smallest-prime-factor table (int32) for [2, limit]; immutable after
     construction."""
@@ -269,15 +297,6 @@ class FactorSieve:
             t += 1
         return t
 
-    def von_mangoldt(self, n: int) -> float:
-        if n < 2:
-            return 0.0
-        p = int(self.spf[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        return math.log(p) if m == 1 else 0.0
-
 
 def mobius(n: int) -> int:
     if n < 1:
@@ -294,12 +313,10 @@ def omega(n: int) -> int:
     return factorize(n).omega
 
 
-def von_mangoldt(n: int, sieve: FactorSieve | None = None) -> float:
+def von_mangoldt(n: int) -> float:
     """log p when n = p**k (k >= 1), else 0."""
     if n < 1:
         raise ValueError("von_mangoldt requires n >= 1")
-    if sieve is not None and n <= sieve.limit:
-        return sieve.von_mangoldt(n)
     if n == 1:
         return 0.0
     # Cheap rejection: a small factor not accounting for all of n kills it.
@@ -315,13 +332,13 @@ def von_mangoldt(n: int, sieve: FactorSieve | None = None) -> float:
     return math.log(pp[0]) if pp else 0.0
 
 
-def von_mangoldt_via_mobius(n: int, sieve: FactorSieve | None = None) -> float:
+def von_mangoldt_via_mobius(n: int) -> float:
     """-sum over divisors q of n of mu(q) log q (inclusion-exclusion route),
     over the squarefree divisors, the only ones that contribute."""
     if n < 1:
         raise ValueError("requires n >= 1")
     return -_ordered_sum(mu * math.log(q)
-                         for q, mu in squarefree_divisors(n, sieve))
+                         for q, mu in squarefree_divisors(n))
 
 
 def divisors(n: int) -> list:
@@ -332,14 +349,10 @@ def divisors(n: int) -> list:
     return sorted(divs)
 
 
-def squarefree_divisors(n: int, sieve: FactorSieve | None = None) -> list:
+def squarefree_divisors(n: int) -> list:
     """(q, mu(q)) for every squarefree divisor q of n, that is every product
     of a subset of its distinct primes."""
-    if sieve is not None and n <= sieve.limit:
-        parts = sieve.factor(n).parts
-    else:
-        parts = factorize(n).parts
     out = [(1, 1)]
-    for p, _ in parts:
+    for p, _ in factorize(n).parts:
         out += [(q * p, -s) for q, s in out]
     return out

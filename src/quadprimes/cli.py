@@ -7,26 +7,19 @@ Exit codes: 0 = success / all checks passed, 1 = verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
-import io
 import json
 import sys
 
 from . import congruence, lcmpsi, nagell, primes, stats, sums
-from .report import _num
+from .report import csv_table
 from .verify import SuiteParams, run_suite
 
 
 def _table(header: list, rows: list, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    w.writerow(header)
-    for r in rows:
-        w.writerow([_num(v) for v in r])
-    return buf.getvalue()
+    return csv_table(header, rows)
 
 
 def _cmd_verify(args, out) -> int:

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import PRIME_SIEVE_LIMIT, factorize, is_prime_u64, primes_up_to
+from .arith import (PRIME_SIEVE_LIMIT, _prime_multiples, factorize,
+                    is_prime_u64, primes_up_to)
 
 # Most values per block of ValueSieve.quartic_rows, which sieves a longer row
 # in several blocks. A block costs a fixed number of numpy passes, so a small
@@ -218,18 +219,30 @@ def _tonelli_shanks(a: int, p: int) -> int:
         r = m
 
 
+def _has_roots(p: int, k: int, d: int) -> bool:
+    """Whether n**2 + d = 0 (mod p**k) has a root, read off v = v_p(d): yes
+    when v >= k; else v must be even (p**(v/2) exactly divides n), and the
+    unit u = -d / p**v a square mod p**(k - v), that is a residue mod p, or
+    1 mod 2**min(k - v, 3) when p = 2."""
+    v, u = 0, -d
+    while v < k and u % p == 0:
+        u, v = u // p, v + 1
+    if v == k:
+        return True
+    square = u % (1 << min(k - v, 3)) == 1 if p == 2 else legendre(u, p) == 1
+    return v % 2 == 0 and square
+
+
 def _lift_prime_power(p: int, k: int, d: int) -> list:
     """Roots of n**2 + d = 0 (mod p**k), by Hensel steps from the base prime.
 
     Nonsingular roots (p does not divide 2r) lift uniquely via Newton's step;
     singular ones (only possible when p divides 2d) branch over t in [0, p).
     Raises ValueError before the roots mod some p**j, j <= k, pass
-    ROOTS_LIMIT.
+    ROOTS_LIMIT. When n**2 + d has roots mod p**k, it has no fewer mod p**k
+    than mod any p**j, so the error then means rho(p**k) > ROOTS_LIMIT.
     """
-    if p == 2:
-        roots = [(-d) % 2]
-    else:
-        roots = sqrt_mod_prime(-d % p, p)
+    roots = sqrt_mod_prime(-d % p, p)
     mod = p
     for _ in range(k - 1):
         mod_next = mod * p
@@ -267,28 +280,25 @@ class RootSet:
 def roots_mod(q: int, d: int) -> RootSet:
     """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT.
 
-    Raises ValueError when q has more than ROOTS_LIMIT roots, or when the
-    lift of one of its prime powers passes ROOTS_LIMIT on the way.
+    The prime powers without roots are found before any lift, so ValueError
+    means exactly that q has more than ROOTS_LIMIT roots (see
+    _lift_prime_power), or that factorize cannot factor q.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q == 1:
         return RootSet(1, d, (0,))
-    lifts = []
-    for p, e in factorize(q).parts:
-        local = _lift_prime_power(p, e, d)
-        if not local:
-            return RootSet(q, d, ())
-        lifts.append((p ** e, local))
+    parts = factorize(q).parts
+    if not all(_has_roots(p, e, d) for p, e in parts):
+        return RootSet(q, d, ())
+    lifts = [(p ** e, _lift_prime_power(p, e, d)) for p, e in parts]
     if math.prod(len(local) for _, local in lifts) > ROOTS_LIMIT:
         raise ValueError(
             f"n**2 + {d} has more than {ROOTS_LIMIT} roots mod {q}")
     residues = [0]
     mod = 1
     for pe, local in lifts:
-        inv = pow(mod % pe, -1, pe) if mod % pe else None
-        if inv is None:  # mod and pe share a factor: impossible, parts are coprime
-            raise AssertionError
+        inv = pow(mod, -1, pe)  # the prime powers are coprime
         combined = []
         for a in residues:
             for b in local:
@@ -317,20 +327,18 @@ def rho_table(limit: int, d: int) -> np.ndarray:
 
     For p not dividing 2d every rho(p**e) is 1 + (-d | p), 0 or 2, so each
     multiple of p takes that factor once: all the symbols come from one
-    quadratic_characters call, a strided pass writes each prime p <=
-    sqrt(limit), and one pass per multiplier m writes the larger primes,
-    which have few multiples each (as stats.omega_sieve counts them). For p
-    dividing 2d the factor of q depends on the exponent of p in q, and each
-    exponent's count comes from Hensel lifting. Such a p has rho(p) = 1 (the
-    one root n = 0, or n = d mod 2), so only those up to sqrt(limit), whose
-    square fits, write any factor.
+    quadratic_characters call, and arith._prime_multiples walks the multiples
+    (as stats.omega_sieve counts them). For p dividing 2d the factor of q
+    depends on the exponent of p in q, and each exponent's count comes from
+    Hensel lifting. Such a p has rho(p) = 1 (the one root n = 0, or n = d
+    mod 2), so only those up to sqrt(limit), whose square fits, write any
+    factor.
     """
     out = np.ones(limit + 1, dtype=np.int64)
     out[0] = 0
     ps = primes_up_to(limit)
     lifted = (ps == 2) | (_residues(d, ps) == 0)
-    root = math.isqrt(limit)
-    for p in ps[lifted & (ps <= root)].tolist():
+    for p in ps[lifted & (ps <= math.isqrt(limit))].tolist():
         # factor[k - 1] is rho(p**e) for q = p*k with p**e exactly dividing q;
         # the larger exponents write last.
         factor = np.empty(limit // p, dtype=np.int64)
@@ -342,16 +350,8 @@ def rho_table(limit: int, d: int) -> np.ndarray:
         out[p::p] *= factor
     ps = ps[~lifted]
     r = 1 + quadratic_characters(d, ps)
-    small = np.searchsorted(ps, root, side="right")
-    for p, f in zip(ps[:small].tolist(), r[:small].tolist()):
-        out[p::p] *= f
-    big, r = ps[small:], r[small:]
-    m = 1
-    while len(big):
-        out[big * m] *= r  # distinct indices within one pass
-        m += 1
-        k = np.searchsorted(big, limit // m, side="right")
-        big, r = big[:k], r[:k]
+    for at, which in _prime_multiples(ps, limit):
+        out[at] *= r[which]
     return out
 
 

@@ -64,21 +64,18 @@ class VerificationReport:
         return rep
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        w.writerow(["id", "module", "inputs", "computed", "reference",
-                    "tol", "status"])
-        for c in self.checks:
-            w.writerow([
-                c.id, c.module, json.dumps(c.inputs, sort_keys=True),
-                _num(c.computed), _num(c.reference), _num(c.tol),
-                c.status,
-            ])
-        return buf.getvalue()
+        return csv_table(
+            ["id", "module", "inputs", "computed", "reference", "tol", "status"],
+            [[c.id, c.module, json.dumps(c.inputs, sort_keys=True), c.computed,
+              c.reference, c.tol, c.status] for c in self.checks])
 
 
-def _num(v):
-    """Full double precision for floats; everything else as-is."""
-    if isinstance(v, float):
-        return repr(v)
-    return v
+def csv_table(header: list, rows) -> str:
+    """A header line and one line per row: minimal quoting, "\n" line ends,
+    and floats as repr, at full double precision."""
+    buf = io.StringIO()
+    w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([repr(v) if isinstance(v, float) else v for v in r]
+                for r in rows)
+    return buf.getvalue()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import _prime_multiples, primes_up_to
 from .congruence import rho_table
 
 
@@ -21,24 +21,14 @@ OMEGA_SIEVE_LIMIT = 10**8
 
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n) for all n in [0, limit] (omega(0) = omega(1) = 0); limit is at
-    most OMEGA_SIEVE_LIMIT.
-
-    One strided pass per prime p <= sqrt(limit), then one pass per multiplier
-    m over the primes above sqrt(limit), which have few multiples each.
+    most OMEGA_SIEVE_LIMIT. Each prime adds 1 to each of its multiples, along
+    the walk of arith._prime_multiples.
     """
     if limit > OMEGA_SIEVE_LIMIT:
         raise ValueError(f"omega sieve limit {limit} exceeds {OMEGA_SIEVE_LIMIT}")
     counts = np.zeros(limit + 1, dtype=np.uint8)
-    ps = primes_up_to(limit)
-    small = np.searchsorted(ps, math.isqrt(limit), side="right")
-    for p in ps[:small].tolist():
-        counts[p::p] += 1
-    big = ps[small:]
-    m = 1
-    while len(big):
-        counts[big * m] += 1  # distinct indices within one pass
-        m += 1
-        big = big[: np.searchsorted(big, limit // m, side="right")]
+    for at, _ in _prime_multiples(primes_up_to(limit), limit):
+        counts[at] += 1
     return counts
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorSieve, _check_cutoff, _ordered_sum
+from .arith import _check_cutoff, _ordered_sum
 from .congruence import ValueSieve, _n_limit, prime_ns, roots_mod
 from .primes import prime_power_scan
 
@@ -37,11 +37,11 @@ def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
     return sorted(terms)
 
 
-def lhs_sum(x: float, d: int, alpha: float = 0.5,
-            sieve: FactorSieve | None = None) -> float:
+def lhs_sum(x: float, d: int, alpha: float = 0.5, sieve=None) -> float:
     """Sum of Lambda(n**2 + d) / (n (log n)**(1 - alpha)) over 2 <= n, n**2 + d <= x.
 
-    ``sieve`` is not read; callers still pass it positionally.
+    ``sieve`` is not read. It stays only because perfbench/workloads.py
+    passes None there, and that file changes only with the benchmark.
     """
     if not alpha > 0:  # NaN included
         raise ValueError(f"alpha = {alpha!r} must be positive")

@@ -79,12 +79,11 @@ def _check_mobius_von_mangoldt(p: SuiteParams) -> CheckResult:
 
 
 def _check_mobius_divisor_sum(p: SuiteParams) -> CheckResult:
-    sieve = arith.FactorSieve(10_000)
-    bad = 0
-    for n in range(1, 10_001):
-        s = sum(mu for _, mu in arith.squarefree_divisors(n, sieve))
-        if s != (1 if n == 1 else 0):
-            bad += 1
+    """The sum of mu(q) over the squarefree q | n is 1 at n = 1, else 0."""
+    sv = congruence.ValueSieve.integers(1, 10_000)
+    owner, _, mu, _ = sv.squarefree_divisors()
+    s = np.bincount(owner, mu, minlength=10_000)
+    bad = int(np.count_nonzero(s != (np.arange(10_000) == 0)))
     return _result("mobius-divisor-sum", "arith_core", {"n_max": 10_000},
                    bad, 0, 0.0, bad == 0)
 

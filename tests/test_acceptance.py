@@ -15,8 +15,6 @@ import pytest
 from quadprimes import (arith, congruence, lcmpsi, nagell, primes, stats,
                         sums)
 
-SIEVE = arith.FactorSieve(10**6 + 100)
-
 _CAPSYS = None
 
 
@@ -45,8 +43,8 @@ def test_criterion_01_mobius_von_mangoldt_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(1, 10**5 + 1):
-        worst = max(worst, abs(arith.von_mangoldt_via_mobius(n, SIEVE)
-                               - arith.von_mangoldt(n, SIEVE)))
+        worst = max(worst, abs(arith.von_mangoldt_via_mobius(n)
+                               - arith.von_mangoldt(n)))
     _report(1, "mobius-von-mangoldt", worst <= 1e-9,
             time.perf_counter() - t0, 10.0)
 
@@ -78,7 +76,7 @@ def test_criterion_03_central_identity():
     ok = True
     for x in (10**3, 10**4, 10**5, 10**6):
         for d in (1, 3, 28):
-            lhs = sums.lhs_sum(x, d, 0.5, SIEVE)
+            lhs = sums.lhs_sum(x, d, 0.5)
             rhs = sums.rhs_mobius_expansion(x, d)
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
                 ok = False

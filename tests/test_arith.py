@@ -100,19 +100,19 @@ def test_ordered_sum_returns_a_python_float():
 
 def test_via_mobius_matches_direct():
     for n in range(1, 5000):
-        assert abs(arith.von_mangoldt_via_mobius(n, SIEVE)
-                   - arith.von_mangoldt(n, SIEVE)) <= 1e-9
+        assert abs(arith.von_mangoldt_via_mobius(n)
+                   - arith.von_mangoldt(n)) <= 1e-9
 
 
 def test_mobius_divisor_sum_vanishes():
     for n in range(1, 10_001):
-        s = sum(mu for _, mu in arith.squarefree_divisors(n, SIEVE))
+        s = sum(mu for _, mu in arith.squarefree_divisors(n))
         assert s == (1 if n == 1 else 0)
 
 
 def test_von_mangoldt_divisor_sum_is_log():
     for n in range(2, 20_001):
-        s = sum(arith.von_mangoldt(d, SIEVE) for d in arith.divisors(n))
+        s = sum(arith.von_mangoldt(d) for d in arith.divisors(n))
         assert abs(s - math.log(n)) <= 1e-9
 
 

@@ -321,6 +321,25 @@ def test_roots_beyond_roots_limit_exit_2(argv):
     assert "more than 65536 roots" in proc.stderr
 
 
+def test_roots_of_modulus_without_roots_print_the_header(capsys):
+    # rho(3**24, 3**23) = 0, although 3**11 roots mod 3**23 pass ROOTS_LIMIT
+    assert run_cli(capsys, "roots", "--n", "282429536481",
+                   "--d", "94143178827") == (0, "modulus,shift,root\n", "")
+
+
+def test_roots_of_modulus_beyond_factorize_exits_2():
+    """A product of two primes near 10**15 and 3 * 10**15: its cofactor after
+    the primes up to 97 reaches 2**64, which factorize cannot split."""
+    n = "3000000000000148000000000001369"
+    proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
+                           "--n", n], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"error: cannot factor {n}:" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["verify"], ["roots", "--n", "65"]])
 def test_out_path_that_cannot_be_opened_exits_2(tmp_path, argv):
     """The path is opened before the computation: verify fails at once, not

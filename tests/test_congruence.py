@@ -55,7 +55,7 @@ SPLIT_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137,
 
 @pytest.mark.parametrize("q, d", [
     (10**30, 0),  # the lift of 5**30 passes the bound at 5**14
-    (3**24, 3**23),  # rho(3**24) = 0, but the lift holds 3**11 roots mod 3**23
+    (2**40, 7 * 2**36),  # 2**20 roots; the lift passes the bound at 2**34
     (math.prod(SPLIT_PRIMES), 1),  # 2**17 roots from the CRT product
 ])
 def test_roots_beyond_roots_limit_raise(q, d):
@@ -63,6 +63,33 @@ def test_roots_beyond_roots_limit_raise(q, d):
         congruence.roots_mod(q, d)
     with pytest.raises(ValueError, match="more than 65536 roots"):
         congruence.rho(q, d)
+
+
+@pytest.mark.parametrize("q, d", [
+    (3**24, 3**23),  # the roots mod 3**23 are the 3**11 multiples of 3**12
+    (3**33, 3**32),
+    (2**40, 3 * 2**36),  # -3 is not 1 mod 8
+    (5**20, 2 * 5**18),  # -2 is a non-residue mod 5
+])
+def test_roots_without_roots_are_empty(q, d):
+    """No root mod q, although the roots mod a smaller power of p pass
+    ROOTS_LIMIT: the empty set, decided before any lift."""
+    assert congruence.roots_mod(q, d).roots == ()
+    assert congruence.rho(q, d) == 0
+
+
+def test_has_roots_matches_scan():
+    """_has_roots against a scan of every residue, and the bound that makes
+    a lift's ValueError exact: where n**2 + d has roots mod p**k, it has no
+    fewer than mod any p**j, j < k."""
+    for p in (2, 3, 5, 7):
+        for d in range(-60, 400):
+            most = 0
+            for k in range(1, int(math.log(3000, p)) + 1):
+                rho = len(congruence.roots_mod_scan(p ** k, d))
+                assert congruence._has_roots(p, k, d) == (rho > 0), (p, k, d)
+                assert rho == 0 or rho >= most, (p, k, d)
+                most = max(most, rho)
 
 
 def test_roots_at_roots_limit_are_listed():

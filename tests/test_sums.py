@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadprimes import arith, congruence, sums
 
-SIEVE = arith.FactorSieve(10**6 + 100)
-
 
 def test_lhs_examples():
     # single term n = 2: log(5) / (2 sqrt(log 2))
@@ -35,7 +33,7 @@ def test_rhs_examples():
 @pytest.mark.parametrize("x", [10**3, 10**4, 10**5])
 @pytest.mark.parametrize("d", [1, 3, 28])
 def test_central_identity(x, d):
-    lhs = sums.lhs_sum(x, d, 0.5, SIEVE)
+    lhs = sums.lhs_sum(x, d, 0.5)
     rhs = sums.rhs_mobius_expansion(x, d)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 

@@ -198,7 +198,7 @@ def support_loop(x, d):
     support = {}
     for n in range(2, sums._n_limit(x, d) + 1):
         w = 1.0 / (n * math.sqrt(math.log(n)))
-        for q, mu in arith.squarefree_divisors(n * n + d, SIEVE):
+        for q, mu in arith.squarefree_divisors(n * n + d):
             entry = support.get(q)
             if entry is None:
                 support[q] = [mu, w]

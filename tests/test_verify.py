@@ -51,14 +51,13 @@ def test_run_suite_accepts_bounds(field, value, monkeypatch):
 
 def test_von_mangoldt_sides_match_scalar_loops():
     top = 20_000  # several blocks of _IDENTITY_BLOCK values
-    sieve = arith.FactorSieve(top)
     blocks = list(verify._von_mangoldt_sides(top))
     assert len(blocks) == -(-top // verify._IDENTITY_BLOCK) > 1
     via = np.concatenate([b[0] for b in blocks]).tolist()
     direct = np.concatenate([b[1] for b in blocks]).tolist()
     ns = range(1, top + 1)
-    assert via == [arith.von_mangoldt_via_mobius(n, sieve) for n in ns]
-    assert direct == [arith.von_mangoldt(n, sieve) for n in ns]
+    assert via == [arith.von_mangoldt_via_mobius(n) for n in ns]
+    assert direct == [arith.von_mangoldt(n) for n in ns]
 
 
 def test_psi_vs_lcm_matches_per_n_loop():
