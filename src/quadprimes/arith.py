@@ -204,35 +204,61 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(parts.items())))
 
 
-# Largest limit primes_up_to accepts. At 10**8 the sieve alone peaks at
-# 121 MiB RSS (the odd-number mask and 5.76 M int64 primes) and takes about
-# 1.1 s; `constants --prime-bound 1e8` peaks at 123 MiB and takes about 2.8 s
-# (211 MiB and 5.3 s for --d 7, set by the quadratic characters).
+# Largest limit primes_up_to accepts. At 10**8 the sieve peaks at 74 MiB RSS,
+# imports included, and takes 0.3-0.4 s; `constants --prime-bound 1e8` peaks
+# there too, in 1.2-1.4 s (3.3-3.5 s for --d 7, set by the quadratic
+# characters).
 PRIME_SIEVE_LIMIT = 10**8
+
+# Odd numbers per segment of primes_up_to's sieve: a 256 KiB mask, which
+# took 0.31 s at 10**8 where one mask over every odd number took 0.93 s.
+_SEGMENT = 1 << 18
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit via an Eratosthenes sieve over the odd numbers,
-    with 2 prepended; limit is at most PRIME_SIEVE_LIMIT."""
+    """All primes <= limit via an Eratosthenes sieve over the odd numbers, in
+    segments, with 2 prepended; limit is at most PRIME_SIEVE_LIMIT. Besides
+    the primes it holds one segment's mask at a time."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > PRIME_SIEVE_LIMIT:
         raise ValueError(
             f"prime sieve limit {limit} exceeds {PRIME_SIEVE_LIMIT}")
+    base = primes_up_to(math.isqrt(limit))[1:].tolist()  # the odd ones
+    # pi(x) <= x / log x * (1 + 1.2762 / log x) for x > 1 (Dusart, Math.
+    # Comp. 68 (1999)), under 1% above pi(x) from 10**6 on
+    log_x = math.log(limit)
+    ps = np.empty(int(limit / log_x * (1.0 + 1.2762 / log_x)) + 1,
+                  dtype=np.int64)
+    count = 0
     # index i stands for 2i + 1; an odd p strikes its odd multiples from p**2,
     # index p**2 // 2, which are p indices apart. Index 0 stands for 1 and
     # stays set, so that its slot becomes the prime 2: the primes are built
     # in one array, with no copy to prepend 2.
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    ps = np.flatnonzero(odd).astype(np.int64, copy=False)
-    ps *= 2
-    ps += 1
+    top = (limit + 1) // 2
+    for lo in range(0, top, _SEGMENT):
+        odd = np.ones(min(top - lo, _SEGMENT), dtype=bool)
+        for p in base:  # from p**2, or its first index in this segment
+            at = p * p // 2
+            odd[max(at, lo + (at - lo) % p) - lo :: p] = False
+        found = np.flatnonzero(odd)
+        found *= 2
+        found += 2 * lo + 1
+        ps[count : count + len(found)] = found
+        count += len(found)
+        del odd, found  # before the next segment's are made
     ps[0] = 2
-    return ps
+    return ps[:count]
+
+
+def _over_primes(ps: np.ndarray, fn) -> np.ndarray:
+    """fn(ps) as float64, computed a block at a time and written over each
+    block of the int64 array ps once fn has read it: a float64 view of ps,
+    with no second array of its length."""
+    out = ps.view(np.float64)
+    for lo in range(0, len(ps), 1 << 14):
+        out[lo : lo + (1 << 14)] = fn(ps[lo : lo + (1 << 14)])
+    return out
 
 
 def _prime_multiples(ps: np.ndarray, limit: int):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _ordered_sum, _running_sums, is_prime_u64, primes_up_to
+from .arith import (_ordered_sum, _over_primes, _running_sums, is_prime_u64,
+                    primes_up_to)
 from .congruence import ValueSieve, roots_mod
 from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
 
@@ -145,15 +146,15 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
     base = euler_gamma() - 1.0 - math.log(2.0) / 2.0
     ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
     tail = np.searchsorted(ps, prime_bound // 2, side="right")
-    three = ps % 4 == 3  # where (-1|p) = -1
-    p = ps.astype(np.float64)
-    del ps  # frees the int64 primes
-    # the terms (-1|p) log p / (p - 1), then their running sum, in one array
-    running = np.log(p)
-    np.negative(running, out=running, where=three)
-    p -= 1.0
-    running /= p
-    del p
+
+    def terms(p):  # (-1|p) log p / (p - 1)
+        f = p.astype(np.float64)
+        t = np.log(f)
+        np.negative(t, out=t, where=p % 4 == 3)  # where (-1|p) = -1
+        return t / (f - 1.0)
+
+    # the terms over the primes, then their running sum, in one array
+    running = _over_primes(ps, terms)
     np.cumsum(running, out=running)
     np.subtract(base, running, out=running)
     return _tail_averaged("B", prime_bound, running, tail, base, B_CONSTANT_REF)

@@ -1,4 +1,4 @@
-"""Quadratic primes n**2 + d: enumeration, counting, gaps, twins, constants,
+"""Quadratic primes n**2 + d: enumeration, counting, twins, constants,
 the two-variable n**2 + m**4 sum, prime-power scans, and largest-prime-factor
 records.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _check_cutoff, _ordered_sum, primes_up_to
+from .arith import _check_cutoff, _ordered_sum, _over_primes, primes_up_to
 from .congruence import ValueSieve, _n_limit, prime_ns, quadratic_characters
 
 _U64_MAX = (1 << 64) - 1
@@ -18,16 +18,12 @@ _U64_MAX = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class QuadraticPrimeList:
-    """All n <= limit with n**2 + shift prime, with the primes and their gaps."""
+    """All n <= limit with n**2 + shift prime, with the primes."""
 
     shift: int
     limit: int
     members: tuple
     primes: tuple
-
-    @property
-    def gaps(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.primes, self.primes[1:]))
 
 
 def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
@@ -93,19 +89,15 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     """
     ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
     tail = np.searchsorted(ps, prime_bound // 2, side="right")
-    # for d = 1, chi(p) is -1 exactly where p = 3 (mod 4): a bool mask
-    chi = ps % 4 == 3 if d == 1 else quadratic_characters(d, ps)
-    # 1 - chi / (p - 1), then its running product, all in one array
-    running = ps.astype(np.float64)
-    del ps  # frees the int64 primes
-    running -= 1.0
-    if d == 1:
-        np.divide(1.0, running, out=running)
-        np.negative(running, out=running, where=chi)
-    else:
-        np.divide(chi, running, out=running)
-    del chi
-    np.subtract(1.0, running, out=running)
+
+    def factors(p):  # 1 - chi(p) / (p - 1)
+        # for d = 1, chi(p) is -1 exactly where p = 3 (mod 4)
+        chi = (np.where(p % 4 == 3, -1, 1) if d == 1
+               else quadratic_characters(d, p))
+        return 1.0 - chi / (p - 1.0)
+
+    # the factors over the primes, then their running product, in one array
+    running = _over_primes(ps, factors)
     np.cumprod(running, out=running)
     return _tail_averaged("hardy_littlewood", prime_bound, running, tail, 1.0,
                           HL_CONSTANT_D1 if d == 1 else None)

@@ -78,27 +78,18 @@ def landau_ratio(x: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class HighOmegaMass:
-    """Moduli q <= limit with more prime factors than the iterated-log cutoff,
-    under both cutoff conventions (strict against the real value, and strict
-    against its ceiling), with their total root count against the bound
-    x**(1 - (log log x)(log log log x) / (2 log x))."""
+    """Moduli q <= limit with omega(q) > log log x, with their total root
+    count against the bound x**(1 - (log log x)(log log log x) / (2 log x))."""
 
     limit: int
     shift: int
-    threshold_real: float
-    count: int          # omega(q) > log log x
+    count: int
     rho_sum: int
-    count_ceil: int     # omega(q) > ceil(log log x)
-    rho_sum_ceil: int
     bound: float
 
     @property
     def within_bound(self) -> bool:
         return self.rho_sum <= self.bound
-
-    @property
-    def density(self) -> float:
-        return self.count / self.limit
 
 
 def high_omega_mass(x: int, d: int) -> HighOmegaMass:
@@ -109,12 +100,6 @@ def high_omega_mass(x: int, d: int) -> HighOmegaMass:
     lx = math.log(x)
     llx = math.log(lx)
     lllx = math.log(llx)
-    mask_real = om > llx
-    mask_ceil = om > math.ceil(llx)
+    mask = om > llx
     bound = x ** (1.0 - llx * lllx / (2.0 * lx))
-    return HighOmegaMass(
-        x, d, llx,
-        int(mask_real.sum()), int(rhos[mask_real].sum()),
-        int(mask_ceil.sum()), int(rhos[mask_ceil].sum()),
-        bound,
-    )
+    return HighOmegaMass(x, d, int(mask.sum()), int(rhos[mask].sum()), bound)

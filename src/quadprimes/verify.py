@@ -4,8 +4,10 @@ Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
 Each check is a pure function of the suite parameters alone and builds the
 tables it reads, so the checks can run at once and in any process: run_suite
-forks one worker per usable CPU, hands each worker one check at a time, and
-puts the results back in definition order. The report is deterministic.
+forks one worker per usable CPU and gives each a fixed round-robin share of
+the checks, and puts the results back in definition order. The report is
+deterministic. Above 2 CPUs the fixed shares are less even than handing out
+checks as workers free up; run_suite's docstring gives the cost.
 """
 
 from __future__ import annotations
@@ -398,25 +400,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _work(params: SuiteParams, conn, parent_ends) -> None:
-    """Worker side of run_suite: run each check received over conn, timing it,
-    and send back its result, or the exception it raised (pickled) with its
-    traceback as text. Exit on a None sentinel or when the parent's end
-    closes.
+def _work(params: SuiteParams, share, conn, parent_ends) -> None:
+    """Worker side of run_suite: run the checks of this worker's fixed share
+    in definition order, timing each, and send each result over conn as soon
+    as it is known, or the exception the check raised (pickled) with its
+    traceback as text.
 
-    parent_ends are the parent's ends of this worker's pipe and of those
-    started before it, which a forked worker holds copies of: they are
-    closed first, or the parent's death would never read as EOF here.
+    parent_ends are the parent's read ends of this worker's pipe and of those
+    started before it, which a forked worker holds copies of. They are closed
+    first, so that once the parent is gone nothing reads the pipe and the
+    next send fails instead of filling it.
     """
     for end in parent_ends:
         end.close()
-    while True:
-        try:
-            fn = conn.recv()
-        except EOFError:
-            break
-        if fn is None:
-            break
+    for fn in share:
         try:
             t0 = time.perf_counter()
             result = fn(params)
@@ -454,11 +451,20 @@ def run_suite(params: SuiteParams) -> VerificationReport:
     in definition order; the report content is a function of ``params`` alone
     (timings aside).
 
-    One worker per usable CPU (no more than there are checks) is forked (the
-    platform's default start method where fork does not exist) before the
-    first check runs. Each worker runs one check at a time and is handed the
-    next, in definition order, as soon as it answers. Each worker times each
-    call, so ``ms`` is the check's own wall time.
+    k = min(usable CPUs, checks) workers are forked (the platform's default
+    start method where fork does not exist) before the first check runs.
+    Worker j runs checks j, j + k, j + 2k, ... in that order, so which checks
+    share a worker depends on k alone, never on timing. Each worker times
+    each call, so ``ms`` is the check's own wall time.
+
+    The fixed shares are as even as handing each check to the first free
+    worker at 1 and 2 CPUs, and less even above. Simulated from the default
+    checks' serial times, the checks take (ms):
+
+        CPUs   first free worker   fixed shares
+        3      240                 261
+        4      202                 232
+        8      109                 182
 
     Every field is checked before the first check runs: one out of range
     (NaN included) raises ValueError. A check that raises re-raises the same
@@ -469,37 +475,26 @@ def run_suite(params: SuiteParams) -> VerificationReport:
     _validate(params)
     # imported here, so that the other subcommands never pay for it
     import multiprocessing
-    from multiprocessing.connection import wait
 
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    todo = list(enumerate(_CHECKS))
-    results = [None] * len(todo)
+    n = len(_CHECKS)
+    k = min(_usable_cpus(), n)
+    results = [None] * n
     workers = {}  # the parent's end of each worker's pipe -> the worker
-    running = {}  # the end of each busy worker's pipe -> (index, check)
     try:
-        for _ in range(min(_usable_cpus(), len(todo))):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_work,
-                               args=(params, child_conn, [*workers, conn]))
+        for j in range(k):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, args=(
+                params, _CHECKS[j::k], child_conn, [*workers, conn]))
             proc.start()
             workers[conn] = proc
             child_conn.close()  # the worker's death now reads as EOF
-        idle = list(workers)
-        while todo or running:
-            while todo and idle:
-                conn = idle.pop()
-                i, fn = todo.pop(0)
-                conn.send(fn)
-                running[conn] = (i, fn)
-            for conn in wait(list(running)):
-                i, fn = running.pop(conn)
-                results[i] = _answer(conn, fn, workers[conn])
-                idle.append(conn)
-        for conn in workers:
-            conn.send(None)
+        # a worker's results wait in its pipe until their turn here
+        for j, (conn, proc) in enumerate(workers.items()):
+            for i in range(j, n, k):
+                results[i] = _answer(conn, _CHECKS[i], proc)
     except BaseException:
-        # idle workers wait in recv: they would never exit on their own
         for proc in workers.values():
             proc.terminate()
         raise

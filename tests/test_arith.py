@@ -204,7 +204,10 @@ def test_primes_up_to_peak_memory():
     assert peak <= (limit + 1) // 2 + 1.5 * 8 * n
 
 
-@pytest.mark.parametrize("limits", [range(2000), [10**6]])
+# the last: the sieve's segment edges, 2**18 odd numbers each
+@pytest.mark.parametrize("limits", [range(2000), [10**6],
+                                    [2**19 - 2, 2**19 - 1, 2**19, 2**19 + 1,
+                                     2**20 + 1]])
 def test_primes_up_to_matches_plain_sieve(limits):
     for limit in limits:
         got = arith.primes_up_to(limit)

@@ -15,8 +15,6 @@ def test_quadratic_primes_list():
     qp = primes.quadratic_primes(99, 1)
     assert qp.primes == KNOWN_PRIMES_10K
     assert qp.members[:4] == (1, 2, 4, 6)
-    # gaps are consecutive differences of the prime list
-    assert qp.gaps[:6] == (3, 12, 20, 64, 96, 60)
 
 
 def test_quadratic_primes_small():

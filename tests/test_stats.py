@@ -65,8 +65,6 @@ def test_high_omega_example():
     m = stats.high_omega_mass(100, 1)
     # log log 100 = 1.527...; omega(q) >= 2 qualifies, 64 moduli up to 100
     assert m.count == 64
-    assert m.count_ceil == sum(1 for q in range(1, 101) if SIEVE.omega(q) > 2)
-    assert m.density == pytest.approx(0.64)
 
 
 def test_high_omega_sums_match_direct():
@@ -76,8 +74,6 @@ def test_high_omega_sums_match_direct():
     direct = sum(congruence.rho(q, 1)
                  for q in range(1, 5001) if SIEVE.omega(q) > llx)
     assert m.rho_sum == direct
-    assert m.count_ceil <= m.count
-    assert m.rho_sum_ceil <= m.rho_sum
 
 
 def test_high_omega_bound_midscale():

@@ -107,6 +107,13 @@ def test_forked_suite_matches_serial_loop(monkeypatch):
     report = verify.run_suite(_SMALL)
     assert report.to_json() == expected
     assert all(c.ms > 0 for c in report.checks)
+    # three: 26 checks give shares of 9, 9 and 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    report = verify.run_suite(_SMALL)
+    assert report.to_json() == expected
+    assert all(c.ms > 0 for c in report.checks)
+    assert multiprocessing.active_children() == []
 
 
 def _raises(params):
@@ -117,7 +124,7 @@ def test_check_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS", (_passing, _raises, _passing))
     with pytest.raises(ValueError, match="stub check rejected its input"):
         verify.run_suite(SuiteParams())
-    # the other worker, busy or idle in recv, was stopped too
+    # the other worker was stopped too
     assert multiprocessing.active_children() == []
 
 
@@ -132,6 +139,19 @@ def test_workers_run_several_checks_each(cpus, monkeypatch):
                         raising=False)
     pids = {c.computed for c in verify.run_suite(SuiteParams()).checks}
     assert os.getpid() not in pids and 1 <= len(pids) <= len(cpus)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_worker_runs_a_fixed_round_robin_share(k, monkeypatch):
+    """Checks i and j run in one worker exactly when i = j (mod k), whatever
+    the checks' times."""
+    monkeypatch.setattr(verify, "_CHECKS", (_pid,) * 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                        raising=False)
+    pids = [c.computed for c in verify.run_suite(SuiteParams()).checks]
+    for i in range(7):
+        for j in range(7):
+            assert (pids[i] == pids[j]) == (i % k == j % k), (i, j, pids)
 
 
 class _Bad(Exception):
@@ -155,7 +175,7 @@ def test_exception_that_cannot_be_rebuilt_names_the_check(monkeypatch):
 
 def test_dying_check_raises_instead_of_hanging():
     """A worker dies, after another check or on the first one with others
-    still queued: the suite raises, and no worker, busy or idle, is left."""
+    still in its share: the suite raises, and no worker is left."""
     script = textwrap.dedent("""
         import multiprocessing
         import os
@@ -187,8 +207,8 @@ def test_dying_check_raises_instead_of_hanging():
 
 
 def test_workers_exit_when_the_parent_is_killed():
-    """A check kills the suite's process: every worker then reads EOF (or a
-    broken pipe) and exits, instead of waiting for a check forever. The
+    """A check kills the suite's process: every worker's next send then
+    fails on a broken pipe and it exits, instead of filling the pipe. The
     workers hold the script's stdout, so communicate returns only once they
     have all exited."""
     script = textwrap.dedent("""
