@@ -1,10 +1,8 @@
 """Computational toolkit and verification harness for quadratic primes n^2 + d."""
 
-from .arith import (FactorSieve, Factorization, factorize, is_prime_power,
-                    is_prime_u64, mobius, omega, von_mangoldt,
-                    von_mangoldt_via_mobius)
-from .congruence import (RootSet, ValueSieve, quadratic_character, rho,
-                         roots_mod, sqrt_mod_prime)
+from .arith import (Factorization, factorize, is_prime_power, is_prime_u64,
+                    von_mangoldt, von_mangoldt_via_mobius)
+from .congruence import RootSet, ValueSieve, rho, roots_mod, sqrt_mod_prime
 from .lcmpsi import B_constant, PsiTrace, psi_f, psi_residual_trend
 from .nagell import NagellSolution, consecutive_powers, lebesgue_nagell_solve
 from .primes import (ConstantEstimate, QuadraticPrimeList, fouvry_iwaniec_sum,

@@ -1,12 +1,10 @@
 """Sieve-backed arithmetic functions and deterministic 64-bit primality.
 
-``primes_up_to`` is the one Eratosthenes sieve. The smallest-prime-factor
-table of ``FactorSieve`` is a strided pass over its primes; it factors and
-counts omega in O(log n) per query, and is the tests' oracle. Mobius, von
-Mangoldt and the squarefree divisors factor n directly (trial division +
-Pollard rho), with a deterministic Miller-Rabin test. ``_prime_multiples`` is
-the one walk over the multiples of a set of primes, which the omega and rho
-tables share.
+``primes_up_to`` is the one Eratosthenes sieve. ``factorize`` factors n
+directly (trial division + Pollard rho) with a deterministic Miller-Rabin
+test; the squarefree divisors read it, and von Mangoldt reads the one
+prime-power test, ``is_prime_power``. ``_prime_multiples`` is the one walk
+over the multiples of a set of primes, which the omega and rho tables share.
 """
 
 from __future__ import annotations
@@ -280,80 +278,10 @@ def _prime_multiples(ps: np.ndarray, limit: int):
         big = big[: np.searchsorted(big, limit // m, side="right")]
 
 
-class FactorSieve:
-    """Smallest-prime-factor table (int32) for [2, limit]; immutable after
-    construction."""
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise ValueError("sieve limit must be >= 2")
-        if limit >= 1 << 31:
-            raise ValueError("sieve limit must be < 2**31 (int32 table)")
-        self.limit = int(limit)
-        spf = np.arange(self.limit + 1, dtype=np.int32)
-        # Largest prime first, so the smallest prime of each n writes last.
-        for p in primes_up_to(math.isqrt(self.limit))[::-1].tolist():
-            spf[p * p :: p] = p
-        self.spf = spf
-
-    def smallest_prime_factor(self, n: int) -> int:
-        return int(self.spf[n])
-
-    def factor(self, n: int) -> Factorization:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        parts = []
-        m = n
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            parts.append((p, e))
-        return Factorization(n, tuple(parts))
-
-    def omega(self, n: int) -> int:
-        t = 0
-        m = n
-        while m > 1:
-            p = int(self.spf[m])
-            while m % p == 0:
-                m //= p
-            t += 1
-        return t
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius requires n >= 1")
-    parts = factorize(n).parts
-    if any(e > 1 for _, e in parts):
-        return 0
-    return -1 if len(parts) % 2 else 1
-
-
-def omega(n: int) -> int:
-    if n < 1:
-        raise ValueError("omega requires n >= 1")
-    return factorize(n).omega
-
-
 def von_mangoldt(n: int) -> float:
     """log p when n = p**k (k >= 1), else 0."""
     if n < 1:
         raise ValueError("von_mangoldt requires n >= 1")
-    if n == 1:
-        return 0.0
-    # Cheap rejection: a small factor not accounting for all of n kills it.
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return math.log(p) if m == 1 else 0.0
-    if is_prime_u64(n):
-        return math.log(n)
     pp = is_prime_power(n)
     return math.log(pp[0]) if pp else 0.0
 
@@ -365,14 +293,6 @@ def von_mangoldt_via_mobius(n: int) -> float:
         raise ValueError("requires n >= 1")
     return -_ordered_sum(mu * math.log(q)
                          for q, mu in squarefree_divisors(n))
-
-
-def divisors(n: int) -> list:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).parts:
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def squarefree_divisors(n: int) -> list:

@@ -43,11 +43,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if t == p - 1 else 1
 
 
-def quadratic_character(d: int, p: int) -> int:
-    """(-d | p) for odd prime p: +1/-1/0 as -d is a residue/nonresidue/0 mod p."""
-    return legendre(-d % p, p)
-
-
 def sqrt_mod_prime(a: int, p: int) -> list:
     """All z in [0, p) with z*z = a (mod p); [] when a is a nonresidue.
 
@@ -266,10 +261,8 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Sorted roots of n**2 + shift = 0 (mod modulus) in [0, modulus)."""
+    """Sorted roots of n**2 + d = 0 (mod q) in [0, q)."""
 
-    modulus: int
-    shift: int
     roots: tuple
 
     @property
@@ -287,10 +280,10 @@ def roots_mod(q: int, d: int) -> RootSet:
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q == 1:
-        return RootSet(1, d, (0,))
+        return RootSet((0,))
     parts = factorize(q).parts
     if not all(_has_roots(p, e, d) for p, e in parts):
-        return RootSet(q, d, ())
+        return RootSet(())
     lifts = [(p ** e, _lift_prime_power(p, e, d)) for p, e in parts]
     if math.prod(len(local) for _, local in lifts) > ROOTS_LIMIT:
         raise ValueError(
@@ -305,7 +298,7 @@ def roots_mod(q: int, d: int) -> RootSet:
                 combined.append(a + mod * ((b - a) * inv % pe))
         residues = combined
         mod *= pe
-    return RootSet(q, d, tuple(sorted(r % q for r in residues)))
+    return RootSet(tuple(sorted(r % q for r in residues)))
 
 
 def rho(q: int, d: int) -> int:

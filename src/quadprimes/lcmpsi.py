@@ -2,7 +2,10 @@
 its linear-term constant, and the residual trend against n log n + B n.
 
 The primary route sums max prime-power valuations (only logs of prime powers
-are ever needed); exact big-integer lcm is kept as an oracle for small n.
+are ever needed), read off one value sieve as each prime's rises along m;
+exact big-integer lcm is kept as an oracle for small n. The valuation of
+one prime by root lifting, and its trial-division check, are kept with the
+tests.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (_ordered_sum, _over_primes, _running_sums, is_prime_u64,
-                    primes_up_to)
-from .congruence import ValueSieve, roots_mod
+from .arith import _ordered_sum, _over_primes, _running_sums, primes_up_to
+from .congruence import ValueSieve
 from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
 
 _TREND_POINTS = 24  # geometric sample points of psi_residual_trend
@@ -103,41 +105,6 @@ def psi_f_direct(n: int) -> float:
     for m in range(1, n + 1):
         acc = math.lcm(acc, m * m + 1)
     return _log_big(acc)
-
-
-def max_valuation(p: int, n: int) -> int:
-    """max over m <= n of v_p(m**2 + 1), via prime-power root lifting.
-
-    The valuation reaches k iff some root of the congruence mod p**k is <= n.
-    """
-    if not is_prime_u64(p):
-        raise ValueError("p must be prime")
-    if n < 1:
-        return 0
-    if p == 2:
-        return 1  # m**2 + 1 = 2 (mod 4) for odd m
-    best = 0
-    k = 1
-    while p ** k <= n * n + 1:
-        roots = roots_mod(p ** k, 1).roots
-        if not roots or min(roots) > n:
-            break
-        best = k
-        k += 1
-    return best
-
-
-def max_valuation_trial(p: int, n: int) -> int:
-    """Oracle: direct division over every m <= n."""
-    best = 0
-    for m in range(1, n + 1):
-        v = m * m + 1
-        e = 0
-        while v % p == 0:
-            v //= p
-            e += 1
-        best = max(best, e)
-    return best
 
 
 def B_constant(prime_bound: int) -> ConstantEstimate:

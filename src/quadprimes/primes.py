@@ -18,10 +18,8 @@ _U64_MAX = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class QuadraticPrimeList:
-    """All n <= limit with n**2 + shift prime, with the primes."""
+    """All n <= n_max with n**2 + d prime, with the primes."""
 
-    shift: int
-    limit: int
     members: tuple
     primes: tuple
 
@@ -30,8 +28,7 @@ def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
     """The n <= n_max with n**2 + d prime. ValueError or OverflowError as
     prime_ns raises them."""
     members = prime_ns(n_max, d).tolist()
-    return QuadraticPrimeList(d, n_max, tuple(members),
-                              tuple(n * n + d for n in members))
+    return QuadraticPrimeList(tuple(members), tuple(n * n + d for n in members))
 
 
 def pi_f(x: float, d: int) -> int:

@@ -36,7 +36,6 @@ def omega_sieve(limit: int) -> np.ndarray:
 class OmegaHistogram:
     """counts[k] = #{n <= limit : omega(n) = k}; n = 1 sits at k = 0."""
 
-    limit: int
     counts: tuple
     threshold: int  # ceil(log log limit)
 
@@ -55,7 +54,7 @@ def omega_histogram(limit: int) -> OmegaHistogram:
     # one pass per k: np.bincount would copy the uint8 table to intp first
     counts = tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
     threshold = math.ceil(math.log(math.log(limit))) if limit > 15 else 0
-    return OmegaHistogram(limit, counts, threshold)
+    return OmegaHistogram(counts, threshold)
 
 
 def pi_k(x: int, k: int) -> int:
@@ -78,11 +77,9 @@ def landau_ratio(x: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class HighOmegaMass:
-    """Moduli q <= limit with omega(q) > log log x, with their total root
+    """Moduli q <= x with omega(q) > log log x, with their total root
     count against the bound x**(1 - (log log x)(log log log x) / (2 log x))."""
 
-    limit: int
-    shift: int
     count: int
     rho_sum: int
     bound: float
@@ -102,4 +99,4 @@ def high_omega_mass(x: int, d: int) -> HighOmegaMass:
     lllx = math.log(llx)
     mask = om > llx
     bound = x ** (1.0 - llx * lllx / (2.0 * lx))
-    return HighOmegaMass(x, d, int(mask.sum()), int(rhos[mask].sum()), bound)
+    return HighOmegaMass(int(mask.sum()), int(rhos[mask].sum()), bound)

@@ -137,8 +137,6 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
 class ProgressionSumResult:
     """Term-by-term progression sum against its closed-form estimate."""
 
-    modulus: int
-    shift: int
     direct: float
     estimate: float
     error_bound: float
@@ -155,7 +153,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     rs = roots_mod(q, d)
     top = _n_limit(x, d)
     if not rs.roots or top < 2:
-        return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
+        return ProgressionSumResult(0.0, 0.0, 0.0)
     s = math.sqrt(max(x - d, 4.0))
     ns = []
     pieces = []  # the estimate of each residue class, in root order
@@ -167,19 +165,13 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
         if first <= top:
             pieces.append((2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(first))))
     if not ns:
-        return ProgressionSumResult(q, d, 0.0, 0.0, 0.0)
+        return ProgressionSumResult(0.0, 0.0, 0.0)
     ns.sort()
     direct = _ordered_sum(1.0 / (n * math.sqrt(math.log(n))) for n in ns)
     estimate = _ordered_sum(pieces)
     n0 = ns[0]
     bound = rs.count / (n0 * math.sqrt(math.log(n0)))
-    return ProgressionSumResult(q, d, direct, estimate, bound)
-
-
-def qualifying_n_by_trial(x: float, q: int, d: int) -> list:
-    """Oracle: the same qualifying n found by filtering every n (no roots)."""
-    top = _n_limit(x, d)
-    return [n for n in range(2, top + 1) if (n * n + d) % q == 0]
+    return ProgressionSumResult(direct, estimate, bound)
 
 
 def dirichlet_partial(s: float, n_terms: int, d: int) -> float:

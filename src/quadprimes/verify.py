@@ -51,24 +51,26 @@ def _von_mangoldt_sides(top: int):
 
     via_mobius is -sum over the squarefree q | n of mu(q) log q, from the
     divisor arrays of ValueSieve.integers, added per n in the order of
-    arith.von_mangoldt_via_mobius; direct is log p where n is a power of
-    p = spf[n] in the FactorSieve table, else 0. Both read one math.log table,
-    so each side equals its scalar counterpart exactly.
+    arith.von_mangoldt_via_mobius; direct is log p where n is a power of p
+    in a table that writes p at p, p**2, p**3, ... <= top for every prime
+    p, else 0. The table reads only the primes, none of ValueSieve's hits,
+    so a fault in the hits cannot move both sides alike. Both read one
+    math.log table, so each side equals its scalar counterpart exactly.
     """
     logs = np.array([0.0, *map(math.log, range(1, top + 1))])
-    spf = arith.FactorSieve(top).spf
+    base = np.zeros(top + 1, dtype=np.int32)  # 0 where n is no prime power
+    ps = arith.primes_up_to(top)
+    pk = ps
+    while len(ps):
+        base[pk] = ps
+        more = pk <= top // ps  # p**(k + 1) <= top, before the product
+        ps, pk = ps[more], pk[more] * ps[more]
     for lo in range(1, top + 1, _IDENTITY_BLOCK):
         hi = min(top, lo + _IDENTITY_BLOCK - 1)
         sv = congruence.ValueSieve.integers(lo, hi)
         owner, q, mu, _ = sv.squarefree_divisors()
         via = -np.bincount(owner, mu * logs[q], minlength=hi - lo + 1)
-        m = np.arange(lo, hi + 1)
-        p = spf[m]
-        k = np.flatnonzero(p > 1)
-        while len(k):
-            m[k] //= p[k]
-            k = k[m[k] % p[k] == 0]
-        yield via, np.where(m == 1, logs[p], 0.0)  # spf[1] = 1, log 1 = 0
+        yield via, logs[base[lo : hi + 1]]  # logs[0] = 0
 
 
 def _check_mobius_von_mangoldt(p: SuiteParams) -> CheckResult:

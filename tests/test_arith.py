@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from quadprimes import arith
 
-SIEVE = arith.FactorSieve(100_000)
+SIEVE = oracles.FactorSieve(100_000)
 
 
 def naive_factor(n):
@@ -34,9 +35,9 @@ def naive_is_prime(n):
 
 
 def test_mobius_examples():
-    assert arith.mobius(1) == 1
-    assert arith.mobius(12) == 0
-    assert arith.mobius(30) == -1
+    assert oracles.mobius(1) == 1
+    assert oracles.mobius(12) == 0
+    assert oracles.mobius(30) == -1
 
 
 def test_von_mangoldt_examples():
@@ -112,7 +113,7 @@ def test_mobius_divisor_sum_vanishes():
 
 def test_von_mangoldt_divisor_sum_is_log():
     for n in range(2, 20_001):
-        s = sum(arith.von_mangoldt(d) for d in arith.divisors(n))
+        s = sum(arith.von_mangoldt(d) for d in oracles.divisors(n))
         assert abs(s - math.log(n)) <= 1e-9
 
 
@@ -143,6 +144,22 @@ def test_is_prime_u64_vs_trial_division():
         assert arith.is_prime_u64(n) == naive_is_prime(n)
 
 
+@pytest.mark.parametrize("n", [2**61 - 1, (10**6 + 3) ** 2, 3**30, 7 * 2**70])
+def test_von_mangoldt_matches_small_prime_loop(n):
+    assert arith.von_mangoldt(n) == oracles.von_mangoldt_loop(n)
+
+
+def test_von_mangoldt_matches_small_prime_loop_on_ranges():
+    for n in [*range(1, 20_001), *(m * m + 1 for m in range(1, 20_001))]:
+        assert arith.von_mangoldt(n) == oracles.von_mangoldt_loop(n), n
+
+
+def test_von_mangoldt_rejects_beyond_64_bits_without_small_factor():
+    for fn in (arith.von_mangoldt, oracles.von_mangoldt_loop):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            fn(2**64 + 1)
+
+
 def test_is_prime_power():
     assert arith.is_prime_power(1) is None
     assert arith.is_prime_power(512) == (2, 9)
@@ -154,7 +171,7 @@ def test_is_prime_power():
 
 @pytest.mark.parametrize("limit", [48, 49, 50])
 def test_sieve_spf_around_prime_square(limit):
-    s = arith.FactorSieve(limit)
+    s = oracles.FactorSieve(limit)
     assert len(s.spf) == limit + 1
     for n in range(2, limit + 1):
         assert s.smallest_prime_factor(n) == arith.factorize(n).parts[0][0]
@@ -162,11 +179,11 @@ def test_sieve_spf_around_prime_square(limit):
 
 def test_sieve_rejects_limit_beyond_int32():
     with pytest.raises(ValueError):
-        arith.FactorSieve(2 ** 31)
+        oracles.FactorSieve(2 ** 31)
 
 
 def test_sieve_spf_invariants():
-    s = arith.FactorSieve(1000)
+    s = oracles.FactorSieve(1000)
     for n in range(2, 1001):
         p = s.smallest_prime_factor(n)
         assert n % p == 0
@@ -190,9 +207,11 @@ def plain_sieve(limit: int) -> np.ndarray:
 
 
 def test_primes_up_to_peak_memory():
-    """The odd-number mask and one array of primes, with no copy to prepend
-    2: at most the mask plus one and a half arrays of primes. Prepending by
-    concatenation peaked at about the mask plus three."""
+    """One array of primes, sized by Dusart's bound and with no copy to
+    prepend 2, one 256 KiB segment mask and that segment's primes: at most
+    2.25 arrays of one 8-byte entry per prime at 10**6, where it peaks at
+    about two. Prepending by concatenation peaked at one mask over every
+    odd number plus three."""
     limit = 10**6
     n = len(arith.primes_up_to(limit))
     tracemalloc.start()
@@ -201,7 +220,7 @@ def test_primes_up_to_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (limit + 1) // 2 + 1.5 * 8 * n
+    assert peak <= 2.25 * 8 * n
 
 
 # the last: the sieve's segment edges, 2**18 odd numbers each

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from quadprimes import arith, congruence, stats
 
-SIEVE = arith.FactorSieve(10_000)
+SIEVE = oracles.FactorSieve(10_000)
 
 
 def test_sqrt_mod_prime_examples():
@@ -190,9 +191,9 @@ def test_odd_prime_counts():
 
 
 def test_quadratic_character():
-    assert congruence.quadratic_character(1, 5) == 1
-    assert congruence.quadratic_character(1, 3) == -1
-    assert congruence.quadratic_character(3, 3) == 0
+    assert oracles.quadratic_character(1, 5) == 1
+    assert oracles.quadratic_character(1, 3) == -1
+    assert oracles.quadratic_character(3, 3) == 0
 
 
 PRIMES_1E5 = arith.primes_up_to(10**5)
@@ -210,14 +211,14 @@ def test_sqrt_mod_primes_matches_sqrt_mod_prime(d, ps):
         [(p, r) for p in ps for r in congruence.sqrt_mod_prime(-d % p, p)]
     odd = [p for p in ps if p > 2]
     assert congruence.quadratic_characters(d, np.array(odd, dtype=np.int64)) \
-        .tolist() == [congruence.quadratic_character(d, p) for p in odd]
+        .tolist() == [oracles.quadratic_character(d, p) for p in odd]
 
 
 @pytest.mark.parametrize("d", [2**62 - 1, 2**63, 10**20, -10**20 - 7, 3**100])
 def test_quadratic_characters_of_a_shift_beyond_int64(d):
     odd = PRIMES_1E5[1:]
     assert congruence.quadratic_characters(d, odd).tolist() == \
-        [congruence.quadratic_character(d, p) for p in odd.tolist()]
+        [oracles.quadratic_character(d, p) for p in odd.tolist()]
 
 
 def test_sqrt_mod_primes_rejects_primes_beyond_2_31():

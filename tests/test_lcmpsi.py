@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from quadprimes import arith, lcmpsi, primes
 
 
@@ -50,14 +51,14 @@ def test_psi_rejects_nonpositive():
 
 def test_max_valuation_examples():
     # 2 divides m**2 + 1 exactly once (m odd) and never to a higher power
-    assert lcmpsi.max_valuation(2, 100) == 1
+    assert oracles.max_valuation(2, 100) == 1
     # 7**2 + 1 = 50 = 2 * 5**2; 57**2 + 1 = 3250 = 2 * 5**3 * 13
-    assert lcmpsi.max_valuation(5, 6) == 1
-    assert lcmpsi.max_valuation(5, 7) == 2
-    assert lcmpsi.max_valuation(5, 57) == 3
+    assert oracles.max_valuation(5, 6) == 1
+    assert oracles.max_valuation(5, 7) == 2
+    assert oracles.max_valuation(5, 57) == 3
     # p = 3 (mod 4) never divides m**2 + 1
-    assert lcmpsi.max_valuation(3, 10**6) == 0
-    assert lcmpsi.max_valuation(7, 10**6) == 0
+    assert oracles.max_valuation(3, 10**6) == 0
+    assert oracles.max_valuation(7, 10**6) == 0
 
 
 def joined_rises(n: int):
@@ -71,7 +72,7 @@ def assert_rises_sum_to_max_valuation(ps, rises, n):
         total[p] = total.get(p, 0) + r
     # every prime up to n, and the cofactor primes above it
     for p in set(arith.primes_up_to(n).tolist()) | set(total):
-        assert total.get(p, 0) == lcmpsi.max_valuation(p, n)
+        assert total.get(p, 0) == oracles.max_valuation(p, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 57, 300, 2000])
@@ -125,7 +126,7 @@ def test_rises_match_factorize_running_maximum(block, monkeypatch):
 def test_max_valuation_matches_trial():
     for p in (2, 5, 13, 17, 29):
         for n in (10, 100, 1000):
-            assert lcmpsi.max_valuation(p, n) == lcmpsi.max_valuation_trial(p, n)
+            assert oracles.max_valuation(p, n) == oracles.max_valuation_trial(p, n)
 
 
 def test_b_constant_converges():
@@ -161,10 +162,11 @@ def test_b_constant_matches_one_expression(bound):
 
 
 def test_b_constant_peak_memory():
-    """At most two arrays of one 8-byte entry per prime at a time, plus half
-    of one for the masks: the primes, or the terms and p - 1 once the primes
-    are freed. The one-expression form peaked at about five, and keeping
-    the int64 primes for the tail mask at three."""
+    """The terms are built one block of primes at a time and written over
+    the primes, and their running sum is taken in place, so the peak is
+    primes_up_to's own, with its one 256 KiB segment mask: at most 2.25
+    arrays of one 8-byte entry per prime. The one-expression form peaked at
+    about five."""
     bound = 10**6
     lcmpsi.B_constant(bound)
     tracemalloc.start()
@@ -173,7 +175,7 @@ def test_b_constant_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * len(arith.primes_up_to(bound))
+    assert peak <= 2.25 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_residual_trend():

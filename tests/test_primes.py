@@ -115,10 +115,11 @@ def test_hardy_littlewood_matches_one_expression(d, bound):
 
 
 def test_hardy_littlewood_peak_memory():
-    """At most two arrays of one 8-byte entry per prime at a time, plus half
-    of one for the masks: the primes and the running product, with the
-    characters of d = 1 as a bool mask. The one-expression form peaked at
-    about four, and an int64 character array at three."""
+    """The factors are built one block of primes at a time and written over
+    the primes, and their running product is taken in place, so the peak is
+    primes_up_to's own, with its one 256 KiB segment mask: at most 2.25
+    arrays of one 8-byte entry per prime. The one-expression form peaked at
+    about four."""
     bound = 10**6
     primes.hardy_littlewood_constant(1, bound)
     tracemalloc.start()
@@ -127,14 +128,16 @@ def test_hardy_littlewood_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * len(arith.primes_up_to(bound))
+    assert peak <= 2.25 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_hardy_littlewood_peak_memory_other_shift():
-    """For d != 1 the characters come from quadratic_characters, which adds
-    the exponents (p - 1)/2 and the powers being squared: at most four and a
-    half arrays of one 8-byte entry per prime. An int64 temporary for each
-    exponent bit peaked at about 5.25."""
+    """For d != 1 the characters come from quadratic_characters, one block
+    of primes at a time, so its exponents and the powers being squared stay
+    as small as the block: the peak is primes_up_to's, with its one 256 KiB
+    segment mask, at most 2.25 arrays of one 8-byte entry per prime. Over
+    the whole array at once, with an int64 temporary for each exponent bit,
+    it peaked at about 5.25."""
     bound = 10**6
     primes.hardy_littlewood_constant(7, bound)
     tracemalloc.start()
@@ -143,7 +146,7 @@ def test_hardy_littlewood_peak_memory_other_shift():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * len(arith.primes_up_to(bound))
+    assert peak <= 2.25 * 8 * len(arith.primes_up_to(bound))
 
 
 def test_kappa():

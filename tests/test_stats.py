@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from quadprimes import arith, stats
+import oracles
+from quadprimes import stats
 
-SIEVE = arith.FactorSieve(10**6)
+SIEVE = oracles.FactorSieve(10**6)
 OMEGAS = stats.omega_sieve(10**6)
 
 
@@ -16,7 +17,7 @@ def test_omega_sieve_matches_factorization():
 
 @pytest.mark.parametrize("limit", [48, 49, 50, 10**4, 10**4 + 1])
 def test_omega_sieve_whole_table_around_prime_square(limit):
-    s = arith.FactorSieve(limit)
+    s = oracles.FactorSieve(limit)
     assert stats.omega_sieve(limit).tolist() == \
         [s.omega(n) for n in range(limit + 1)]
 

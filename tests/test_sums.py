@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from quadprimes import arith, congruence, sums
 
 
@@ -99,7 +100,7 @@ def test_root_stepping_equals_trial_filter():
             for r in rs.roots
             for n in range((r if r >= 2 else r + q * ((2 - r + q - 1) // q)),
                            top + 1, q))
-        assert stepped == sums.qualifying_n_by_trial(10**6, q, 1)
+        assert stepped == oracles.qualifying_n_by_trial(10**6, q, 1)
 
 
 def test_dirichlet_partial_examples():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+import oracles
 from quadprimes import arith, congruence, lcmpsi, primes, sums
 from quadprimes.congruence import ValueSieve
 
-SIEVE = arith.FactorSieve(10**6 + 100)
+SIEVE = oracles.FactorSieve(10**6 + 100)
 
 
 def sieved_parts(sv: ValueSieve, size: int) -> list:
@@ -187,7 +188,7 @@ def test_squarefree_divisors_match_arith():
         n = i + 1
         got = sorted(zip(q[owner == i].tolist(), mu[owner == i].tolist(),
                          om[owner == i].tolist()))
-        want = sorted((s, m, arith.omega(s)) for s, m
+        want = sorted((s, m, oracles.omega(s)) for s, m
                       in arith.squarefree_divisors(n * n + d))
         assert got == want, n
 
@@ -261,5 +262,6 @@ def test_dyadic_split_builds_no_spf_table(monkeypatch):
     def refuse(self, limit):
         raise AssertionError(f"FactorSieve({limit}) built")
 
-    monkeypatch.setattr(arith.FactorSieve, "__init__", refuse)
+    monkeypatch.setattr(oracles.FactorSieve, "__init__", refuse)
     sums.dyadic_split(1e6, 1)
+    assert not hasattr(arith, "FactorSieve")

@@ -9,8 +9,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from quadprimes import arith, lcmpsi, sums, verify
-from quadprimes.report import PASS, CheckResult, VerificationReport
+from quadprimes import arith, congruence, lcmpsi, sums, verify
+from quadprimes.report import FAIL, PASS, CheckResult, VerificationReport
 from quadprimes.verify import SuiteParams
 
 
@@ -58,6 +58,30 @@ def test_von_mangoldt_sides_match_scalar_loops():
     ns = range(1, top + 1)
     assert via == [arith.von_mangoldt_via_mobius(n) for n in ns]
     assert direct == [arith.von_mangoldt(n) for n in ns]
+
+
+# 4096 = 2**12 is the last n of the first block, and a prime power
+@pytest.mark.parametrize("top", [1, 2, 4096, 4097])
+def test_von_mangoldt_sides_direct_at_edges(top):
+    direct = np.concatenate([b[1] for b in verify._von_mangoldt_sides(top)])
+    assert direct.tolist() == [arith.von_mangoldt(n) for n in range(1, top + 1)]
+
+
+def test_identity_check_fails_when_the_sieve_drops_a_prime(monkeypatch):
+    """The direct side reads none of ValueSieve's hits, so a sieve that
+    loses every hit of p = 3 moves only the Mobius side, and the check
+    fails. A direct side read off the same hits would agree with it."""
+    integers = congruence.ValueSieve.integers
+
+    def without_3(n_lo, n_hi):
+        sv = integers(n_lo, n_hi)
+        keep = sv.hit_prime != 3
+        return congruence.ValueSieve(sv._values, sv.hit_index[keep],
+                                     sv.hit_prime[keep])
+
+    monkeypatch.setattr(congruence.ValueSieve, "integers", without_3)
+    r = verify._check_mobius_von_mangoldt(SuiteParams())
+    assert r.status == FAIL and r.computed > 1.0
 
 
 def test_psi_vs_lcm_matches_per_n_loop():
