@@ -21,12 +21,11 @@ from .arith import (PRIME_SIEVE_LIMIT, _prime_multiples, factorize,
 # one costs little time and bounds the memory of its hit arrays.
 _ROW_BLOCK = 1 << 16
 
-# Most roots that roots_mod lists, and that a Hensel lift of one prime power
-# holds. A root set can be as large as about sqrt(q) (rho(10**(2k), 0) =
-# 10**k) or 2**k (a product of k split primes), and each root costs about
-# 300 bytes on its way through the CLI (19 MiB for 2**16 roots). rho_table
-# lifts only p**e <= its limit, whose rho(p**e) <= 4 sqrt(p**e) stays below
-# this bound for every limit up to 10**8.
+# Most roots that roots_mod lists; it compares rho(q) with this bound before
+# any Hensel lift. A root set can be as large as about sqrt(q) (rho(10**(2k),
+# 0) = 10**k) or 2**k (a product of k split primes), and each root costs
+# about 300 bytes on its way through the CLI (19 MiB for 2**16 roots). rho
+# and rho_table count without listing roots, so they take no bound.
 ROOTS_LIMIT = 1 << 16
 
 # Most n that one block of prime_ns strikes through _stepped (one more
@@ -214,18 +213,28 @@ def _tonelli_shanks(a: int, p: int) -> int:
         r = m
 
 
-def _has_roots(p: int, k: int, d: int) -> bool:
-    """Whether n**2 + d = 0 (mod p**k) has a root, read off v = v_p(d): yes
-    when v >= k; else v must be even (p**(v/2) exactly divides n), and the
-    unit u = -d / p**v a square mod p**(k - v), that is a residue mod p, or
-    1 mod 2**min(k - v, 3) when p = 2."""
+def _rho_prime_power(p: int, k: int, d: int) -> int:
+    """rho(p**k), the number of roots of n**2 + d = 0 (mod p**k), in closed
+    form from v = v_p(d) (capped at k) and the unit u = -d / p**v: p**(k // 2)
+    when v = k (p**ceil(k/2) divides n); else none unless v = 2t is even,
+    and then n = p**t w with w**2 = u (mod p**(k - v)), for p**t times the
+    s square roots of u: 1 + (u | p) for odd p, and 1, 2 or 4 as k - v is 1,
+    2 or >= 3 for p = 2, when u = 1 (mod 2**min(k - v, 3)) (Niven,
+    Zuckerman and Montgomery, quadratic congruences to prime-power moduli).
+    """
     v, u = 0, -d
     while v < k and u % p == 0:
         u, v = u // p, v + 1
     if v == k:
-        return True
-    square = u % (1 << min(k - v, 3)) == 1 if p == 2 else legendre(u, p) == 1
-    return v % 2 == 0 and square
+        return p ** (k // 2)
+    if v % 2:
+        return 0
+    if p == 2:
+        j = min(k - v, 3)
+        s = 1 << (j - 1) if u % (1 << j) == 1 else 0
+    else:
+        s = 1 + legendre(u, p)
+    return p ** (v // 2) * s
 
 
 def _lift_prime_power(p: int, k: int, d: int) -> list:
@@ -233,9 +242,8 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
 
     Nonsingular roots (p does not divide 2r) lift uniquely via Newton's step;
     singular ones (only possible when p divides 2d) branch over t in [0, p).
-    Raises ValueError before the roots mod some p**j, j <= k, pass
-    ROOTS_LIMIT. When n**2 + d has roots mod p**k, it has no fewer mod p**k
-    than mod any p**j, so the error then means rho(p**k) > ROOTS_LIMIT.
+    When n**2 + d has roots mod p**k, it has no fewer mod p**k than mod any
+    p**j, so no step holds more than rho(p**k) roots.
     """
     roots = sqrt_mod_prime(-d % p, p)
     mod = p
@@ -249,10 +257,6 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
                 lifted.append((r - fr * inv) % mod_next)
             else:
                 if fr == 0:
-                    if len(lifted) + p > ROOTS_LIMIT:
-                        raise ValueError(
-                            f"n**2 + {d} has more than {ROOTS_LIMIT} roots "
-                            f"mod {mod_next}")
                     lifted.extend(r + t * mod for t in range(p))
         roots = sorted(set(lifted))
         mod = mod_next
@@ -273,24 +277,25 @@ class RootSet:
 def roots_mod(q: int, d: int) -> RootSet:
     """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT.
 
-    The prime powers without roots are found before any lift, so ValueError
-    means exactly that q has more than ROOTS_LIMIT roots (see
-    _lift_prime_power), or that factorize cannot factor q.
+    The count rho(q) comes first, from _rho_prime_power, so a modulus
+    without roots gives the empty set, and ValueError before any lift means
+    exactly that q has more than ROOTS_LIMIT roots, or that factorize cannot
+    factor q.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q == 1:
-        return RootSet((0,))
     parts = factorize(q).parts
-    if not all(_has_roots(p, e, d) for p, e in parts):
+    count = math.prod(_rho_prime_power(p, e, d) for p, e in parts)
+    if count == 0:
         return RootSet(())
-    lifts = [(p ** e, _lift_prime_power(p, e, d)) for p, e in parts]
-    if math.prod(len(local) for _, local in lifts) > ROOTS_LIMIT:
+    if count > ROOTS_LIMIT:
         raise ValueError(
             f"n**2 + {d} has more than {ROOTS_LIMIT} roots mod {q}")
     residues = [0]
     mod = 1
-    for pe, local in lifts:
+    for p, e in parts:
+        pe = p ** e
+        local = _lift_prime_power(p, e, d)
         inv = pow(mod, -1, pe)  # the prime powers are coprime
         combined = []
         for a in residues:
@@ -302,8 +307,12 @@ def roots_mod(q: int, d: int) -> RootSet:
 
 
 def rho(q: int, d: int) -> int:
-    """Number of solutions of n**2 + d = 0 (mod q) in [0, q)."""
-    return roots_mod(q, d).count
+    """Number of solutions of n**2 + d = 0 (mod q) in [0, q), the product
+    of _rho_prime_power over the prime powers of q; exact at any size that
+    factorize splits, with no roots listed."""
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
+    return math.prod(_rho_prime_power(p, e, d) for p, e in factorize(q).parts)
 
 
 def roots_mod_scan(q: int, d: int) -> tuple:
@@ -323,25 +332,25 @@ def rho_table(limit: int, d: int) -> np.ndarray:
     quadratic_characters call, and arith._prime_multiples walks the multiples
     (as stats.omega_sieve counts them). For p dividing 2d the factor of q
     depends on the exponent of p in q, and each exponent's count comes from
-    Hensel lifting. Such a p has rho(p) = 1 (the one root n = 0, or n = d
+    _rho_prime_power. Such a p has rho(p) = 1 (the one root n = 0, or n = d
     mod 2), so only those up to sqrt(limit), whose square fits, write any
     factor.
     """
     out = np.ones(limit + 1, dtype=np.int64)
     out[0] = 0
     ps = primes_up_to(limit)
-    lifted = (ps == 2) | (_residues(d, ps) == 0)
-    for p in ps[lifted & (ps <= math.isqrt(limit))].tolist():
+    divides_2d = (ps == 2) | (_residues(d, ps) == 0)
+    for p in ps[divides_2d & (ps <= math.isqrt(limit))].tolist():
         # factor[k - 1] is rho(p**e) for q = p*k with p**e exactly dividing q;
         # the larger exponents write last.
         factor = np.empty(limit // p, dtype=np.int64)
         step, e = 1, 1
         while step <= limit // p:
-            factor[step - 1 :: step] = len(_lift_prime_power(p, e, d))
+            factor[step - 1 :: step] = _rho_prime_power(p, e, d)
             step *= p
             e += 1
         out[p::p] *= factor
-    ps = ps[~lifted]
+    ps = ps[~divides_2d]
     r = 1 + quadratic_characters(d, ps)
     for at, which in _prime_multiples(ps, limit):
         out[at] *= r[which]

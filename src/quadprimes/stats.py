@@ -37,7 +37,6 @@ class OmegaHistogram:
     """counts[k] = #{n <= limit : omega(n) = k}; n = 1 sits at k = 0."""
 
     counts: tuple
-    threshold: int  # ceil(log log limit)
 
     def pi_k(self, k: int) -> int:
         return self.counts[k] if 0 <= k < len(self.counts) else 0
@@ -53,8 +52,7 @@ def omega_histogram(limit: int) -> OmegaHistogram:
     om = omega_sieve(limit)[1:]
     # one pass per k: np.bincount would copy the uint8 table to intp first
     counts = tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
-    threshold = math.ceil(math.log(math.log(limit))) if limit > 15 else 0
-    return OmegaHistogram(counts, threshold)
+    return OmegaHistogram(counts)
 
 
 def pi_k(x: int, k: int) -> int:
@@ -80,7 +78,6 @@ class HighOmegaMass:
     """Moduli q <= x with omega(q) > log log x, with their total root
     count against the bound x**(1 - (log log x)(log log log x) / (2 log x))."""
 
-    count: int
     rho_sum: int
     bound: float
 
@@ -99,4 +96,4 @@ def high_omega_mass(x: int, d: int) -> HighOmegaMass:
     lllx = math.log(llx)
     mask = om > llx
     bound = x ** (1.0 - llx * lllx / (2.0 * lx))
-    return HighOmegaMass(int(mask.sum()), int(rhos[mask].sum()), bound)
+    return HighOmegaMass(int(rhos[mask].sum()), bound)

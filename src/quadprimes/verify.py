@@ -124,16 +124,10 @@ def _check_rho_omega_bound(p: SuiteParams) -> CheckResult:
 
     rho is multiplicative and s(d) is the product of p**t over the primes p,
     t = v_p(d) // 2, so it is enough that rho(p**e) <= 2 * p**t for odd p and
-    rho(2**e) <= 4 * 2**t. Count the n mod p**e with n**2 = -d (mod p**e),
-    v = v_p(d):
-
-    - e <= v: then p**e divides n**2, that is p**ceil(e/2) divides n, for
-      p**(e // 2) <= p**t residues n.
-    - e > v: then v_p(n**2) = v, so v = 2t and n = p**t u with p not
-      dividing u, and u**2 = -d / p**v (mod p**(e - v)). By Hensel's lemma a
-      unit has at most 2 square roots mod a power of an odd prime, and at
-      most 4 mod a power of 2. Each root mod p**(e - v) is p**t residues u
-      mod p**(e - t), and u mod p**(e - t) gives n mod p**e.
+    rho(2**e) <= 4 * 2**t. congruence._rho_prime_power gives rho(p**e) in
+    closed form, with v = v_p(d): p**(e // 2) <= p**t when e <= v, and
+    otherwise 0 or p**t times the number of square roots of a unit mod
+    p**(e - v), at most 2 for odd p and 4 for p = 2.
 
     The bound is reached, for example by rho(2**6) = 4 and 8 at d = 7 and 28.
     For d = 0, n**2 is reducible and rho(p**e) = p**(e // 2) is unbounded:

@@ -311,14 +311,16 @@ def test_beyond_search_bound_exits_2(argv):
 @pytest.mark.parametrize("argv", [
     ["roots", "--n", "1e30", "--d", "0"],
     ["roots", "--n", "68314842068663755945783321926605"],
+    ["roots", "--n", str(2**40), "--d", str(7 * 2**36)],
 ])
 def test_roots_beyond_roots_limit_exit_2(argv):
+    """The error names the --n modulus, not a prime power of it."""
     proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert "more than 65536 roots" in proc.stderr
+    assert f"more than 65536 roots mod {exact_int(argv[2])}\n" in proc.stderr
 
 
 def test_roots_of_modulus_without_roots_print_the_header(capsys):

@@ -54,16 +54,28 @@ SPLIT_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137,
                 149, 157)
 
 
-@pytest.mark.parametrize("q, d", [
-    (10**30, 0),  # the lift of 5**30 passes the bound at 5**14
-    (2**40, 7 * 2**36),  # 2**20 roots; the lift passes the bound at 2**34
-    (math.prod(SPLIT_PRIMES), 1),  # 2**17 roots from the CRT product
-])
+# Moduli beyond ROOTS_LIMIT, with their root counts.
+BEYOND_ROOTS_LIMIT = {
+    (10**30, 0): 10**15,  # 5**30 alone has 5**15 roots
+    (2**40, 7 * 2**36): 2**20,
+    (math.prod(SPLIT_PRIMES), 1): 2**17,  # from the CRT product
+}
+
+
+@pytest.mark.parametrize("q, d", list(BEYOND_ROOTS_LIMIT))
 def test_roots_beyond_roots_limit_raise(q, d):
     with pytest.raises(ValueError, match="more than 65536 roots"):
         congruence.roots_mod(q, d)
-    with pytest.raises(ValueError, match="more than 65536 roots"):
-        congruence.rho(q, d)
+    assert congruence.rho(q, d) == BEYOND_ROOTS_LIMIT[q, d]
+
+
+def test_roots_beyond_roots_limit_raise_before_any_lift():
+    """The bound is checked on the count, so no Hensel lift runs, and the
+    error names the modulus that was asked for."""
+    with mock.patch.object(congruence, "_lift_prime_power",
+                           side_effect=AssertionError("lifted")):
+        with pytest.raises(ValueError, match=f"roots mod {10**30}$"):
+            congruence.roots_mod(10**30, 0)
 
 
 @pytest.mark.parametrize("q, d", [
@@ -79,16 +91,16 @@ def test_roots_without_roots_are_empty(q, d):
     assert congruence.rho(q, d) == 0
 
 
-def test_has_roots_matches_scan():
-    """_has_roots against a scan of every residue, and the bound that makes
-    a lift's ValueError exact: where n**2 + d has roots mod p**k, it has no
-    fewer than mod any p**j, j < k."""
+def test_rho_prime_power_matches_scan():
+    """_rho_prime_power against a scan of every residue, and the bound that
+    keeps a lift below its final count: where n**2 + d has roots mod p**k,
+    it has no fewer than mod any p**j, j < k."""
     for p in (2, 3, 5, 7):
         for d in range(-60, 400):
             most = 0
             for k in range(1, int(math.log(3000, p)) + 1):
                 rho = len(congruence.roots_mod_scan(p ** k, d))
-                assert congruence._has_roots(p, k, d) == (rho > 0), (p, k, d)
+                assert congruence._rho_prime_power(p, k, d) == rho, (p, k, d)
                 assert rho == 0 or rho >= most, (p, k, d)
                 most = max(most, rho)
 
@@ -100,9 +112,10 @@ def test_roots_at_roots_limit_are_listed():
 
 
 def test_rho_table_hensel_factors_stay_below_roots_limit():
-    """rho_table lifts the p**e <= limit with p dividing 2d, and rho(p**e) <=
-    4 sqrt(p**e) (see rho-omega-bound's proof), so up to the largest table
-    that high_omega_mass reads, no lift reaches ROOTS_LIMIT."""
+    """rho_table counts the p**e <= limit with p dividing 2d by the closed
+    form, which agrees with the Hensel lift, and rho(p**e) <= 4 sqrt(p**e)
+    (see rho-omega-bound's proof), so up to the largest table that
+    high_omega_mass reads, no count reaches ROOTS_LIMIT."""
     limit = stats.OMEGA_SIEVE_LIMIT
     assert 4 * math.isqrt(limit) < congruence.ROOTS_LIMIT
     for p, d in [(2, 0), (2, 2**26), (2, 7 * 2**20), (3, 0), (3, 3**16),
@@ -110,7 +123,8 @@ def test_rho_table_hensel_factors_stay_below_roots_limit():
         e = int(math.log(limit, p))
         assert p ** e <= limit < p ** (e + 1)
         for k in range(1, e + 1):
-            rho = len(congruence._lift_prime_power(p, k, d))
+            rho = congruence._rho_prime_power(p, k, d)
+            assert rho == len(congruence._lift_prime_power(p, k, d))
             assert rho <= 4 * math.isqrt(p ** k)
     assert congruence.rho_table(10**5, 0)[2**16] == 2**8
 
