@@ -1,9 +1,9 @@
 """Sieve-backed arithmetic functions and deterministic 64-bit primality.
 
 ``primes_up_to`` is the one Eratosthenes sieve. ``factorize`` factors n
-directly (trial division + Pollard rho) with a deterministic Miller-Rabin
-test; the squarefree divisors read it, and von Mangoldt reads the one
-prime-power test, ``is_prime_power``. ``_prime_multiples`` is the one walk
+directly (trial division + Pollard rho), asking the one prime-power test,
+``is_prime_power``, once per cofactor; von Mangoldt reads that test and
+the squarefree divisors read factorize. ``_prime_multiples`` is the one walk
 over the multiples of a set of primes, which the omega and rho tables share.
 """
 
@@ -188,10 +188,7 @@ def factorize(n: int) -> Factorization:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime_u64(m):
-            parts[m] = parts.get(m, 0) + 1
-            continue
-        pp = is_prime_power(m)
+        pp = is_prime_power(m)  # (m, 1) when m is prime
         if pp:
             p, e = pp
             parts[p] = parts.get(p, 0) + e

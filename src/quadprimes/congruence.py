@@ -97,8 +97,11 @@ def _pow_mod(base, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def quadratic_characters(d: int, ps: np.ndarray) -> np.ndarray:
-    """(-d | p) for every odd prime p of ps, by Euler's criterion in one pass."""
+    """(-d | p) for every odd prime p of ps: for d = 1, -1 exactly where
+    p = 3 (mod 4); otherwise by Euler's criterion in one pass."""
     ps = np.asarray(ps, dtype=np.int64)
+    if d == 1:
+        return np.where(ps % 4 == 3, -1, 1)
     t = _pow_mod(-d, (ps - 1) // 2, ps)
     t[t == ps - 1] = -1
     return t
@@ -448,7 +451,6 @@ class ValueSieve:
     - ``cofactor[i]`` is what remains of value i: 1 or a prime larger than
       every sieved prime;
     - ``omega[i]`` counts the distinct primes of value i, cofactor included;
-    - ``largest[i]`` is the largest sieved prime dividing value i (1 if none);
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
 
@@ -493,12 +495,6 @@ class ValueSieve:
     @property
     def hit_exp(self) -> np.ndarray:
         return self._division[1]
-
-    @cached_property
-    def largest(self) -> np.ndarray:
-        largest = np.ones(len(self._values), dtype=np.int64)
-        np.maximum.at(largest, self.hit_index, self.hit_prime)
-        return largest
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -589,7 +585,9 @@ class ValueSieve:
 
     def largest_prime(self) -> np.ndarray:
         """Largest prime factor of each value (1 for the value 1)."""
-        return np.maximum(self.largest, self.cofactor)
+        largest = self.cofactor.copy()
+        np.maximum.at(largest, self.hit_index, self.hit_prime)
+        return largest
 
     def prime_power_base(self) -> np.ndarray:
         """p where the value is a power of the prime p, else 0, read off the

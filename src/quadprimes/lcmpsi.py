@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import _ordered_sum, _over_primes, _running_sums, primes_up_to
-from .congruence import ValueSieve
+from .congruence import ValueSieve, quadratic_characters
 from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
 
 _TREND_POINTS = 24  # geometric sample points of psi_residual_trend
@@ -117,7 +117,7 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
     def terms(p):  # (-1|p) log p / (p - 1)
         f = p.astype(np.float64)
         t = np.log(f)
-        np.negative(t, out=t, where=p % 4 == 3)  # where (-1|p) = -1
+        t *= quadratic_characters(1, p)
         return t / (f - 1.0)
 
     # the terms over the primes, then their running sum, in one array

@@ -88,10 +88,7 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     tail = np.searchsorted(ps, prime_bound // 2, side="right")
 
     def factors(p):  # 1 - chi(p) / (p - 1)
-        # for d = 1, chi(p) is -1 exactly where p = 3 (mod 4)
-        chi = (np.where(p % 4 == 3, -1, 1) if d == 1
-               else quadratic_characters(d, p))
-        return 1.0 - chi / (p - 1.0)
+        return 1.0 - quadratic_characters(d, p) / (p - 1.0)
 
     # the factors over the primes, then their running product, in one array
     running = _over_primes(ps, factors)

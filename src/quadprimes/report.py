@@ -12,6 +12,10 @@ SUITE_VERSION = "1"
 PASS = "pass"
 FAIL = "fail"
 
+# The serialised fields of a check, in report order: the JSON keys and the
+# CSV columns. CheckResult declares them in this order.
+FIELDS = ("id", "module", "inputs", "computed", "reference", "tol", "status")
+
 
 @dataclass
 class CheckResult:
@@ -25,15 +29,7 @@ class CheckResult:
     ms: float = 0.0  # wall clock; deliberately kept out of serialized reports
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "module": self.module,
-            "inputs": self.inputs,
-            "computed": self.computed,
-            "reference": self.reference,
-            "tol": self.tol,
-            "status": self.status,
-        }
+        return {name: getattr(self, name) for name in FIELDS}
 
 
 @dataclass
@@ -58,16 +54,14 @@ class VerificationReport:
         doc = json.loads(text)
         rep = cls(version=doc["version"])
         for c in doc["checks"]:
-            rep.checks.append(CheckResult(
-                c["id"], c["module"], c["inputs"], c["computed"],
-                c["reference"], c["tol"], c["status"]))
+            rep.checks.append(CheckResult(*(c[name] for name in FIELDS)))
         return rep
 
     def to_csv(self) -> str:
-        return csv_table(
-            ["id", "module", "inputs", "computed", "reference", "tol", "status"],
-            [[c.id, c.module, json.dumps(c.inputs, sort_keys=True), c.computed,
-              c.reference, c.tol, c.status] for c in self.checks])
+        # the one dict field, the inputs, as JSON with sorted keys
+        return csv_table(FIELDS, [
+            [json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+             for v in c.to_dict().values()] for c in self.checks])
 
 
 def csv_table(header: list, rows) -> str:

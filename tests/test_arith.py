@@ -131,6 +131,19 @@ def test_factorization_invariant():
         assert all(arith.is_prime_u64(p) for p, _ in f.parts)
 
 
+def test_factorize_tests_each_cofactor_once(monkeypatch):
+    """The cofactor 101*103*107*109, with no prime factor up to 97, meets
+    Miller-Rabin once: is_prime_power's own test tells a prime from a
+    composite, so factorize asks no second one before it."""
+    seen = []
+    is_prime_u64 = arith.is_prime_u64
+    monkeypatch.setattr(arith, "is_prime_u64",
+                        lambda n: seen.append(n) or is_prime_u64(n))
+    n = 101 * 103 * 107 * 109
+    assert arith.factorize(n).parts == ((101, 1), (103, 1), (107, 1), (109, 1))
+    assert seen.count(n) == 1
+
+
 def test_is_prime_u64_known_values():
     assert arith.is_prime_u64(2 ** 61 - 1)
     assert not arith.is_prime_u64(1)

@@ -95,10 +95,14 @@ def test_hardy_littlewood_tail_averaged():
 
 def _hl_one_expression(d, bound):
     """hardy_littlewood_constant as one expression over a copy of the odd
-    primes, the form before its temporaries were trimmed."""
+    primes, the form before its temporaries were trimmed. chi comes from
+    Euler's criterion for every d, d = 1 included, and not through
+    quadratic_characters, so that the constant and its reference share no
+    route to the characters."""
     ps = arith.primes_up_to(bound)
     ps = ps[ps >= 3]
-    chi = congruence.quadratic_characters(d, ps)
+    chi = congruence._pow_mod(-d, (ps - 1) // 2, ps)
+    chi[chi == ps - 1] = -1
     running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
     tail = np.searchsorted(ps, bound // 2, side="right")
     return primes._tail_averaged("hardy_littlewood", bound, running, tail, 1.0,

@@ -37,3 +37,12 @@ def test_csv_full_precision():
     assert lines[0].startswith("id,module,inputs,computed")
     assert repr(1.234567890123456789) in lines[1]
     assert "ms" not in lines[0]
+
+
+def test_fields_in_report_order():
+    """The JSON keys of a check and the CSV columns are the seven serialised
+    fields, in one order."""
+    rep = sample_report()
+    assert list(rep.checks[0].to_dict()) == [
+        "id", "module", "inputs", "computed", "reference", "tol", "status"]
+    assert rep.to_csv().split("\n")[0] == "id,module,inputs,computed,reference,tol,status"

@@ -63,8 +63,14 @@ def test_landau_ratio_k2_midscale():
 
 def test_high_omega_example():
     # log log 100 = 1.527...; omega(q) >= 2 qualifies, 64 moduli up to 100.
-    # The call must run at this small x; its sums are checked below.
-    stats.high_omega_mass(100, 1)
+    from quadprimes import congruence
+    m = stats.high_omega_mass(100, 1)
+    llx = math.log(math.log(100))
+    high = [q for q in range(1, 101) if SIEVE.omega(q) > llx]
+    assert len(high) == 64
+    assert m.rho_sum == 22 == sum(congruence.rho(q, 1) for q in high)
+    assert m.bound == pytest.approx(72.374, abs=5e-4)
+    assert m.within_bound
 
 
 def test_high_omega_sums_match_direct():
