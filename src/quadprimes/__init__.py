@@ -2,14 +2,14 @@
 
 from .arith import (Factorization, factorize, is_prime_power, is_prime_u64,
                     von_mangoldt, von_mangoldt_via_mobius)
-from .congruence import RootSet, ValueSieve, rho, roots_mod, sqrt_mod_prime
+from .congruence import ValueSieve, rho, roots_mod, sqrt_mod_prime
 from .lcmpsi import B_constant, PsiTrace, psi_f, psi_residual_trend
-from .nagell import NagellSolution, consecutive_powers, lebesgue_nagell_solve
+from .nagell import consecutive_powers, lebesgue_nagell_solve
 from .primes import (ConstantEstimate, QuadraticPrimeList, fouvry_iwaniec_sum,
                      hardy_littlewood_constant, largest_prime_factor_records,
                      pi_f, prime_power_scan, quadratic_primes,
                      twin_quadratic_pairs)
-from .stats import OmegaHistogram, high_omega_mass, landau_ratio, pi_k
+from .stats import high_omega_mass, landau_ratio, pi_k
 from .sums import (ProgressionSumResult, SumDecomposition, dirichlet_partial,
                    dyadic_split, lhs_sum, progression_sum,
                    rhs_mobius_expansion)

@@ -56,8 +56,7 @@ def _cmd_sum(args, out) -> int:
 
 
 def _cmd_roots(args, out) -> int:
-    rs = congruence.roots_mod(args.n, args.d)
-    rows = [(args.n, args.d, r) for r in rs.roots]
+    rows = [(args.n, args.d, r) for r in congruence.roots_mod(args.n, args.d)]
     out.write(_table(["modulus", "shift", "root"], rows, args.format))
     return 0
 
@@ -87,8 +86,7 @@ def _cmd_constants(args, out) -> int:
 
 def _cmd_nagell(args, out) -> int:
     sols = nagell.lebesgue_nagell_solve(args.d, args.x)
-    rows = [(s.x, s.y, s.n) for s in sols]
-    out.write(_table(["x", "y", "n"], rows, args.format))
+    out.write(_table(["x", "y", "n"], sols, args.format))
     return 0
 
 
@@ -102,8 +100,7 @@ def _cmd_psi(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> int:
-    h = stats.omega_histogram(args.x)
-    rows = [(k, c) for k, c in enumerate(h.counts)]
+    rows = list(enumerate(stats.omega_histogram(args.x)))
     out.write(_table(["k", "pi_k"], rows, args.format))
     return 0
 

@@ -1,5 +1,6 @@
-"""Roots of n**2 + d = 0 (mod q): prime moduli, prime-power lifting, CRT,
-and the value sieve that steps those roots through blocks of values.
+"""Roots of n**2 + d = 0 (mod q), as ascending tuples: prime moduli,
+prime-power lifting, CRT, and the value sieve that steps those roots
+through blocks of values.
 
 rho(q) = #roots in [0, q) is multiplicative over coprime moduli; for odd
 primes p with p coprime to d it is 1 + (-d | p).
@@ -8,7 +9,6 @@ primes p with p coprime to d it is 1 + (-d | p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -241,12 +241,16 @@ def _rho_prime_power(p: int, k: int, d: int) -> int:
 
 
 def _lift_prime_power(p: int, k: int, d: int) -> list:
-    """Roots of n**2 + d = 0 (mod p**k), by Hensel steps from the base prime.
+    """Roots of n**2 + d = 0 (mod p**k), by Hensel steps from the base prime,
+    in no particular order.
 
     Nonsingular roots (p does not divide 2r) lift uniquely via Newton's step;
     singular ones (only possible when p divides 2d) branch over t in [0, p).
     When n**2 + d has roots mod p**k, it has no fewer mod p**k than mod any
-    p**j, so no step holds more than rho(p**k) roots.
+    p**j, so no step holds more than rho(p**k) roots. The lifts of distinct
+    roots mod p**j are distinct mod p**(j + 1), as each is = its root
+    (mod p**j) and a singular root's lifts r + t p**j differ in t, so no step
+    repeats a root.
     """
     roots = sqrt_mod_prime(-d % p, p)
     mod = p
@@ -261,27 +265,17 @@ def _lift_prime_power(p: int, k: int, d: int) -> list:
             else:
                 if fr == 0:
                     lifted.extend(r + t * mod for t in range(p))
-        roots = sorted(set(lifted))
+        roots = lifted
         mod = mod_next
     return roots
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Sorted roots of n**2 + d = 0 (mod q) in [0, q)."""
-
-    roots: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.roots)
-
-
-def roots_mod(q: int, d: int) -> RootSet:
-    """Exact RootSet for modulus q >= 1 via prime-power lifting + CRT.
+def roots_mod(q: int, d: int) -> tuple:
+    """The roots of n**2 + d = 0 (mod q) in [0, q), ascending, for a modulus
+    q >= 1, via prime-power lifting + CRT.
 
     The count rho(q) comes first, from _rho_prime_power, so a modulus
-    without roots gives the empty set, and ValueError before any lift means
+    without roots gives (), and ValueError before any lift means
     exactly that q has more than ROOTS_LIMIT roots, or that factorize cannot
     factor q.
     """
@@ -290,7 +284,7 @@ def roots_mod(q: int, d: int) -> RootSet:
     parts = factorize(q).parts
     count = math.prod(_rho_prime_power(p, e, d) for p, e in parts)
     if count == 0:
-        return RootSet(())
+        return ()
     if count > ROOTS_LIMIT:
         raise ValueError(
             f"n**2 + {d} has more than {ROOTS_LIMIT} roots mod {q}")
@@ -306,7 +300,7 @@ def roots_mod(q: int, d: int) -> RootSet:
                 combined.append(a + mod * ((b - a) * inv % pe))
         residues = combined
         mod *= pe
-    return RootSet(tuple(sorted(r % q for r in residues)))
+    return tuple(sorted(r % q for r in residues))
 
 
 def rho(q: int, d: int) -> int:

@@ -24,7 +24,10 @@ _TREND_POINTS = 24  # geometric sample points of psi_residual_trend
 
 def euler_gamma() -> float:
     """Euler-Mascheroni constant via Euler-Maclaurin on the harmonic sum of
-    200 terms; accurate to well beyond 12 digits already at 50."""
+    200 terms. It returns 0x1.2788cfc6fb62cp-1, 19 ulp (2.1e-15) above the
+    correctly rounded 0x1.2788cfc6fb619p-1, and B_constant carries that
+    error in every bit; the value is kept, as B's bits are in the golden
+    report."""
     n = 200
     h = _ordered_sum(1.0 / k for k in range(1, n + 1))
     n2 = float(n) * n

@@ -1,10 +1,10 @@
-"""Bounded exhaustive search for x**2 + d = y**n (n >= 3) and the consecutive
-perfect-powers scan. Exact integer arithmetic throughout."""
+"""Bounded exhaustive search for x**2 + d = y**n (n >= 3), whose solutions
+are plain (x, y, n) tuples, and the consecutive perfect-powers scan. Exact
+integer arithmetic throughout."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +21,11 @@ NAGELL_NAIVE_X_LIMIT = 10**5
 _NEIGHBOURS = np.array([[-1], [0], [1]])
 
 
-@dataclass(frozen=True)
-class NagellSolution:
-    x: int
-    y: int
-    n: int
-    shift: int
-
-    def verify(self) -> bool:
-        return self.x ** 2 + self.shift == self.y ** self.n
-
-
 def lebesgue_nagell_solve(d: int, x_max: int) -> list:
-    """All solutions of x**2 + d = y**n with 1 <= x <= x_max, y >= 2,
-    3 <= n <= EXPONENT_MAX, found by iterating (y, n) and testing y**n - d for a
-    perfect square. Sorted by (n, y, x). x_max is at most NAGELL_X_LIMIT."""
+    """All solutions (x, y, n) of x**2 + d = y**n with 1 <= x <= x_max,
+    y >= 2, 3 <= n <= EXPONENT_MAX, found by iterating (y, n) and testing
+    y**n - d for a perfect square. Sorted by (n, y, x). x_max is at most
+    NAGELL_X_LIMIT."""
     if not 1 <= d <= 100:
         raise ValueError("d must lie in 1..100")
     if x_max > NAGELL_X_LIMIT:
@@ -54,17 +44,18 @@ def lebesgue_nagell_solve(d: int, x_max: int) -> list:
                 if t >= 1:
                     x = math.isqrt(t)
                     if x * x == t:
-                        solutions.append(NagellSolution(x, y, n, d))
+                        solutions.append((x, y, n))
             v *= y
             n += 1
         y += 1
-    return sorted(solutions, key=lambda s: (s.n, s.y, s.x))
+    return sorted(solutions, key=lambda s: s[::-1])
 
 
 def lebesgue_nagell_naive(d: int, x_max: int) -> list:
-    """Oracle: for every x <= x_max and 3 <= n <= EXPONENT_MAX, the n-th root
-    candidates y - 1, y, y + 1 of x**2 + d, each tested exactly. Each n is
-    one pass over every x at once, in int64 arrays. Sorted by (n, y, x).
+    """Oracle: the solutions (x, y, n) found by testing, for every x <= x_max
+    and 3 <= n <= EXPONENT_MAX, the n-th root candidates y - 1, y, y + 1 of
+    x**2 + d exactly. Each n is one pass over every x at once, in int64
+    arrays. Sorted by (n, y, x).
 
     x_max is at most NAGELL_NAIVE_X_LIMIT and |d| at most 100 (ValueError):
     then x**2 + d <= 10**10 + 100, every candidate power stays below
@@ -87,9 +78,9 @@ def lebesgue_nagell_naive(d: int, x_max: int) -> list:
         hit = c ** n == w
         if hit.any():
             j, i = np.nonzero(hit)
-            found += [NagellSolution(a, b, n, d) for a, b
+            found += [(a, b, n) for a, b
                       in zip(x[lo + i].tolist(), c[j, i].tolist())]
-    return sorted(found, key=lambda s: (s.n, s.y, s.x))
+    return sorted(found, key=lambda s: s[::-1])
 
 
 def consecutive_powers(limit: int):

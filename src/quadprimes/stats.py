@@ -1,5 +1,6 @@
-"""k-prime-factor statistics: exact pi_k(x) histograms, the Landau-normalized
-ratio, and the rho-weighted mass of moduli with many prime factors."""
+"""k-prime-factor statistics: exact pi_k(x) histograms (tuples of counts), the
+Landau-normalized ratio, and the rho-weighted mass of moduli with many prime
+factors."""
 
 from __future__ import annotations
 
@@ -32,34 +33,22 @@ def omega_sieve(limit: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class OmegaHistogram:
-    """counts[k] = #{n <= limit : omega(n) = k}; n = 1 sits at k = 0."""
-
-    counts: tuple
-
-    def pi_k(self, k: int) -> int:
-        return self.counts[k] if 0 <= k < len(self.counts) else 0
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def omega_histogram(limit: int) -> OmegaHistogram:
+def omega_histogram(limit: int) -> tuple:
+    """The counts #{n <= limit : omega(n) = k}, for k from 0 to the largest
+    omega(n); n = 1 sits at k = 0."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     om = omega_sieve(limit)[1:]
     # one pass per k: np.bincount would copy the uint8 table to intp first
-    counts = tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
-    return OmegaHistogram(counts)
+    return tuple(int(np.count_nonzero(om == k)) for k in range(int(om.max()) + 1))
 
 
 def pi_k(x: int, k: int) -> int:
     """Exact #{n <= x : omega(n) = k}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return omega_histogram(x).pi_k(k)
+    counts = omega_histogram(x)
+    return counts[k] if k < len(counts) else 0
 
 
 def landau_ratio(x: int, k: int) -> float:

@@ -150,14 +150,14 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     the class's first term; the error bound is rho(q) times the first summand.
     """
     _check_cutoff(x)
-    rs = roots_mod(q, d)
+    roots = roots_mod(q, d)
     top = _n_limit(x, d)
-    if not rs.roots or top < 2:
+    if not roots or top < 2:
         return ProgressionSumResult(0.0, 0.0, 0.0)
     s = math.sqrt(max(x - d, 4.0))
     ns = []
     pieces = []  # the estimate of each residue class, in root order
-    for r in rs.roots:
+    for r in roots:
         first = r if r >= 2 else r + q * ((2 - r + q - 1) // q)
         ns.extend(range(first, top + 1, q))
         f = ((s - r) / q) % 1.0
@@ -170,7 +170,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     direct = _ordered_sum(1.0 / (n * math.sqrt(math.log(n))) for n in ns)
     estimate = _ordered_sum(pieces)
     n0 = ns[0]
-    bound = rs.count / (n0 * math.sqrt(math.log(n0)))
+    bound = len(roots) / (n0 * math.sqrt(math.log(n0)))
     return ProgressionSumResult(direct, estimate, bound)
 
 

@@ -122,7 +122,7 @@ def max_valuation(p: int, n: int) -> int:
     best = 0
     k = 1
     while p ** k <= n * n + 1:
-        roots = roots_mod(p ** k, 1).roots
+        roots = roots_mod(p ** k, 1)
         if not roots or min(roots) > n:
             break
         best = k

@@ -54,7 +54,7 @@ def test_criterion_02_root_sets():
     ok = True
     for d in (1, 2, 3, 28, 100):
         for q in range(1, 10**4 + 1):
-            if congruence.roots_mod(q, d).roots \
+            if congruence.roots_mod(q, d) \
                     != congruence.roots_mod_scan(q, d):
                 ok = False
                 break
@@ -102,7 +102,7 @@ def test_criterion_04_prime_list_and_twins():
 
 def test_criterion_05_lebesgue_nagell():
     t0 = time.perf_counter()
-    d28 = {(s.x, s.y, s.n) for s in nagell.lebesgue_nagell_solve(28, 10**6)}
+    d28 = set(nagell.lebesgue_nagell_solve(28, 10**6))
     ok = d28 == {(2, 2, 5), (6, 2, 6), (6, 4, 3), (10, 2, 7),
                  (22, 2, 9), (22, 8, 3), (225, 37, 3), (362, 2, 17)}
     ok = ok and nagell.lebesgue_nagell_solve(1, 10**6) == []
@@ -148,8 +148,7 @@ def test_criterion_09_psi():
 
 def test_criterion_10_composite_statistics():
     t0 = time.perf_counter()
-    h = stats.omega_histogram(10**6)
-    ok = h.total == 10**6
+    ok = sum(stats.omega_histogram(10**6)) == 10**6
     ok = ok and 0.5 <= stats.landau_ratio(10**7, 2) <= 2.0
     m = stats.high_omega_mass(10**6, 1)
     ok = ok and m.within_bound

@@ -42,11 +42,11 @@ def test_sqrt_mod_prime_large():
 
 
 def test_roots_mod_examples():
-    assert congruence.roots_mod(2, 1).roots == (1,)
-    assert congruence.roots_mod(3, 1).roots == ()
+    assert congruence.roots_mod(2, 1) == (1,)
+    assert congruence.roots_mod(3, 1) == ()
     rs = congruence.roots_mod(65, 1)
-    assert rs.roots == (8, 18, 47, 57)
-    assert rs.count == 4
+    assert rs == (8, 18, 47, 57)
+    assert len(rs) == 4
 
 
 # The first 17 primes = 1 (mod 4): n**2 + 1 has 2**17 roots mod their product.
@@ -87,7 +87,7 @@ def test_roots_beyond_roots_limit_raise_before_any_lift():
 def test_roots_without_roots_are_empty(q, d):
     """No root mod q, although the roots mod a smaller power of p pass
     ROOTS_LIMIT: the empty set, decided before any lift."""
-    assert congruence.roots_mod(q, d).roots == ()
+    assert congruence.roots_mod(q, d) == ()
     assert congruence.rho(q, d) == 0
 
 
@@ -138,8 +138,28 @@ def test_rho_examples():
 def test_roots_match_scan_sample():
     for d in (1, 2, 3, 28, 100):
         for q in list(range(1, 300)) + [512, 1024, 2187, 5000, 9973]:
-            assert congruence.roots_mod(q, d).roots == \
+            assert congruence.roots_mod(q, d) == \
                 congruence.roots_mod_scan(q, d)
+
+
+def next_prime(n):
+    while not arith.is_prime_u64(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2**40, 2**61 - 1).map(next_prime),
+       m=st.integers(1, 8), d=st.integers(-10**6, 10**6))
+def test_roots_mod_far_beyond_the_scan(p, m, d):
+    """q = p m with a prime p in [2**40, 2**61]: every root is one, in
+    [0, q) and ascending, and there are rho(q) of them."""
+    q = p * m
+    roots = congruence.roots_mod(q, d)
+    assert isinstance(roots, tuple)
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    assert all(0 <= r < q and (r * r + d) % q == 0 for r in roots)
+    assert len(roots) == congruence.rho(q, d)
 
 
 def test_rho_multiplicative():
@@ -238,6 +258,35 @@ def test_quadratic_characters_of_a_shift_beyond_int64(d):
 def test_sqrt_mod_primes_rejects_primes_beyond_2_31():
     with pytest.raises(ValueError):
         congruence.sqrt_mod_primes(1, np.array([2**31 + 11], dtype=np.int64))
+
+
+def primes_below(n, count):
+    """The count largest primes below n, ascending."""
+    found = []
+    m = n - 1
+    while len(found) < count:
+        if arith.is_prime_u64(m):
+            found.append(m)
+        m -= 1
+    return found[::-1]
+
+
+# Primes at sqrt_mod_primes' bound, where _pow_mod's products near 2**62: the
+# 300 below 2**31, the 300 below PRIME_SIEVE_LIMIT (the largest its callers in
+# the package pass), and 15 * 2**27 + 1 and 63 * 2**25 + 1, whose
+# Tonelli-Shanks loops run 26 and 24 steps deep.
+LARGE_PRIMES = (primes_below(2**31, 300)
+                + primes_below(arith.PRIME_SIEVE_LIMIT, 300)
+                + [15 * 2**27 + 1, 63 * 2**25 + 1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, -3, 2**62 - 1, -2**62, 3**38])
+def test_sqrt_mod_primes_matches_sqrt_mod_prime_below_2_31(d):
+    prime, root = congruence.sqrt_mod_primes(
+        d, np.array(LARGE_PRIMES, dtype=np.int64))
+    assert list(zip(prime.tolist(), root.tolist())) == \
+        [(p, r) for p in LARGE_PRIMES
+         for r in congruence.sqrt_mod_prime(-d % p, p)]
 
 
 def prime_ns_by_miller_rabin(n_max, d):

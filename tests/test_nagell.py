@@ -9,14 +9,14 @@ D28_SOLUTIONS = {(2, 2, 5), (6, 2, 6), (6, 4, 3),
 
 def test_d28_box():
     sols = nagell.lebesgue_nagell_solve(28, 100)
-    assert {(s.x, s.y, s.n) for s in sols} == D28_SOLUTIONS
-    assert all(s.verify() for s in sols)
+    assert set(sols) == D28_SOLUTIONS
+    assert all(x * x + 28 == y ** n for x, y, n in sols)
 
 
 def test_d7_catalan_style():
     sols = nagell.lebesgue_nagell_solve(7, 1000)
-    assert (1, 2, 3) in {(s.x, s.y, s.n) for s in sols}
-    assert (181, 32, 3) in {(s.x, s.y, s.n) for s in sols}
+    assert (1, 2, 3) in sols
+    assert (181, 32, 3) in sols
 
 
 def test_d1_empty():
@@ -26,7 +26,7 @@ def test_d1_empty():
 
 def test_d2_solution():
     sols = nagell.lebesgue_nagell_solve(2, 100)
-    assert {(s.x, s.y, s.n) for s in sols} == {(5, 3, 3)}
+    assert set(sols) == {(5, 3, 3)}
 
 
 def test_rejects_out_of_range_shift():
@@ -75,8 +75,8 @@ def brute_force(d, x_max):
 @pytest.mark.parametrize("d", [-3, 0])
 def test_naive_oracle_below_the_solver_range(d):
     sols = nagell.lebesgue_nagell_naive(d, 200)
-    assert [(s.x, s.y, s.n) for s in sols] == brute_force(d, 200)
-    assert all(s.verify() and s.shift == d for s in sols)
+    assert sols == brute_force(d, 200)
+    assert all(x * x + d == y ** n for x, y, n in sols)
 
 
 def test_naive_oracle_rejects_beyond_int64_bound():
@@ -88,9 +88,9 @@ def test_naive_oracle_rejects_beyond_int64_bound():
 
 def test_solutions_sorted_and_in_box():
     sols = nagell.lebesgue_nagell_solve(28, 100)
-    keys = [(s.n, s.y, s.x) for s in sols]
+    keys = [(n, y, x) for x, y, n in sols]
     assert keys == sorted(keys)
-    assert all(1 <= s.x <= 100 for s in sols)
+    assert all(1 <= x <= 100 for x, _, _ in sols)
 
 
 def test_consecutive_powers():

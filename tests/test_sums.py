@@ -97,7 +97,7 @@ def test_root_stepping_equals_trial_filter():
         top = math.isqrt(10**6 - 1)
         stepped = sorted(
             n
-            for r in rs.roots
+            for r in rs
             for n in range((r if r >= 2 else r + q * ((2 - r + q - 1) // q)),
                            top + 1, q))
         assert stepped == oracles.qualifying_n_by_trial(10**6, q, 1)
