@@ -91,11 +91,7 @@ def is_prime_u64(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root of n >= 0."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if k == 1 or n < 2:
-        return n
+    """Floor of the k-th root of n, for k >= 2 and n >= 2 (is_prime_power's)."""
     if k == 2:
         return math.isqrt(n)
     r = int(round(n ** (1.0 / k)))
@@ -128,9 +124,8 @@ def is_prime_power(n: int):
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Floyd's cycle finding, fixed seeds)."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of odd composite n (Floyd's cycle finding,
+    fixed seeds). factorize, its one caller, has divided out 2 before."""
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -146,24 +141,13 @@ def _pollard_rho(n: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Prime factorization of value as ((p1, e1), (p2, e2), ...), primes increasing."""
+    """Prime factorization as ((p1, e1), (p2, e2), ...), primes increasing."""
 
-    value: int
     parts: tuple
-
-    @property
-    def omega(self) -> int:
-        return len(self.parts)
 
     @property
     def largest_prime(self) -> int:
         return self.parts[-1][0] if self.parts else 1
-
-    def verify(self) -> bool:
-        prod = 1
-        for p, e in self.parts:
-            prod *= p ** e
-        return prod == self.value
 
 
 def factorize(n: int) -> Factorization:
@@ -185,9 +169,7 @@ def factorize(n: int) -> Factorization:
                          f"the primes up to 97 is 2**64 or more")
     stack = [m] if m > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # > 1: both parts of a split are proper factors
         pp = is_prime_power(m)  # (m, 1) when m is prime
         if pp:
             p, e = pp
@@ -196,7 +178,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(n, tuple(sorted(parts.items())))
+    return Factorization(tuple(sorted(parts.items())))
 
 
 # Largest limit primes_up_to accepts. At 10**8 the sieve peaks at 74 MiB RSS,

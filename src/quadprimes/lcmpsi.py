@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _ordered_sum, _over_primes, _running_sums, primes_up_to
+from .arith import _ordered_sum, _running_sums
 from .congruence import ValueSieve, quadratic_characters
-from .primes import B_CONSTANT_REF, ConstantEstimate, _tail_averaged
+from .primes import ConstantEstimate, _odd_prime_estimate
 
 _TREND_POINTS = 24  # geometric sample points of psi_residual_trend
 
@@ -110,12 +110,13 @@ def psi_f_direct(n: int) -> float:
     return _log_big(acc)
 
 
+B_CONSTANT_REF = -0.0662756342
+
+
 def B_constant(prime_bound: int) -> ConstantEstimate:
     """gamma - 1 - log(2)/2 - sum over odd primes p <= bound of (-1|p) log p/(p-1),
     with tail averaging over the top dyadic block of primes."""
     base = euler_gamma() - 1.0 - math.log(2.0) / 2.0
-    ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
-    tail = np.searchsorted(ps, prime_bound // 2, side="right")
 
     def terms(p):  # (-1|p) log p / (p - 1)
         f = p.astype(np.float64)
@@ -123,11 +124,11 @@ def B_constant(prime_bound: int) -> ConstantEstimate:
         t *= quadratic_characters(1, p)
         return t / (f - 1.0)
 
-    # the terms over the primes, then their running sum, in one array
-    running = _over_primes(ps, terms)
-    np.cumsum(running, out=running)
-    np.subtract(base, running, out=running)
-    return _tail_averaged("B", prime_bound, running, tail, base, B_CONSTANT_REF)
+    def partial_values(r):  # base minus the running sum of the terms
+        np.subtract(base, np.cumsum(r, out=r), out=r)
+
+    return _odd_prime_estimate("B", prime_bound, terms, partial_values, base,
+                               B_CONSTANT_REF)
 
 
 @dataclass(frozen=True)

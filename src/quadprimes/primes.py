@@ -61,21 +61,24 @@ class ConstantEstimate:
 
 
 HL_CONSTANT_D1 = 1.3727  # truncated decimal as printed in the literature
-B_CONSTANT_REF = -0.0662756342
 
 
-def _tail_averaged(name: str, prime_bound: int, running: np.ndarray,
-                   tail: int, empty: float,
-                   reference: float | None) -> ConstantEstimate:
-    """The estimate from the running value at each odd prime up to
-    prime_bound: its last value, and its mean from index tail on, over the
-    primes above prime_bound // 2 (the last value alone when there are none).
-    Both are ``empty`` when there are no odd primes."""
-    if len(running) == 0:
-        return ConstantEstimate(name, prime_bound, empty, empty, reference)
-    top = running[tail:] if tail < len(running) else running[-1:]
-    return ConstantEstimate(name, prime_bound, float(running[-1]),
-                            float(top.mean()), reference)
+def _odd_prime_estimate(name: str, bound: int, term, accumulate,
+                        start: float, reference: float | None) -> ConstantEstimate:
+    """A constant from its running value over the odd primes p <= bound:
+    term(ps) is each prime's value, a block at a time, and accumulate makes
+    them the running value in place. raw is its last value and averaged its
+    mean over the primes above bound // 2, both start if there are none: by
+    Bertrand's postulate (bound // 2, bound] holds an odd prime if bound >= 3."""
+    ps = primes_up_to(bound)[1:]  # the odd primes, a view
+    if len(ps) == 0:
+        return ConstantEstimate(name, bound, start, start, reference)
+    tail = np.searchsorted(ps, bound // 2, side="right")
+    # the values over the primes, then the running value, in one array
+    running = _over_primes(ps, term)
+    accumulate(running)
+    return ConstantEstimate(name, bound, float(running[-1]),
+                            float(running[tail:].mean()), reference)
 
 
 def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
@@ -84,17 +87,12 @@ def hardy_littlewood_constant(d: int, prime_bound: int) -> ConstantEstimate:
     The product converges only conditionally; both the plain truncation and the
     tail-averaged value are reported.
     """
-    ps = primes_up_to(prime_bound)[1:]  # the odd primes, a view
-    tail = np.searchsorted(ps, prime_bound // 2, side="right")
-
     def factors(p):  # 1 - chi(p) / (p - 1)
         return 1.0 - quadratic_characters(d, p) / (p - 1.0)
 
-    # the factors over the primes, then their running product, in one array
-    running = _over_primes(ps, factors)
-    np.cumprod(running, out=running)
-    return _tail_averaged("hardy_littlewood", prime_bound, running, tail, 1.0,
-                          HL_CONSTANT_D1 if d == 1 else None)
+    return _odd_prime_estimate("hardy_littlewood", prime_bound, factors,
+                               lambda r: np.cumprod(r, out=r), 1.0,
+                               HL_CONSTANT_D1 if d == 1 else None)
 
 
 def kappa_quadrature() -> float:

@@ -17,9 +17,16 @@ from .arith import _check_cutoff, _ordered_sum
 from .congruence import ValueSieve, _n_limit, prime_ns, roots_mod
 from .primes import prime_power_scan
 
-# Largest x that _expansion sieves. Its time and memory grow with sqrt(x):
-# at x = 10**12 (10**6 values) the default verify checks need over 1 GiB.
+# Largest x the sums take, as they sieve or list every n. Their time and
+# memory grow with sqrt(x): at 10**12 the default verify checks need > 1 GiB.
 SUM_X_LIMIT = 10**12
+
+
+def _check_sum_cutoff(x: float):
+    """ValueError unless the cutoff x is finite and at most SUM_X_LIMIT."""
+    _check_cutoff(x)
+    if x > SUM_X_LIMIT:
+        raise ValueError(f"sum cutoff x = {x!r} exceeds {SUM_X_LIMIT}")
 
 
 def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
@@ -61,8 +68,6 @@ def _expansion(x: float, d: int):
     of 1/(n sqrt(log n)) over the n with q | n**2 + d, added in ascending n.
     x is at most SUM_X_LIMIT.
     """
-    if x > SUM_X_LIMIT:
-        raise ValueError(f"sum cutoff x = {x!r} exceeds {SUM_X_LIMIT}")
     top = _n_limit(x, d)
     sv = ValueSieve.shift(2, top, d)
     owner, q, mu, om = sv.squarefree_divisors()
@@ -82,7 +87,7 @@ def rhs_mobius_expansion(x: float, d: int) -> float:
     sum runs over that support set, in ascending q. The values come from one
     ValueSieve, in O(sqrt x) memory.
     """
-    _check_cutoff(x)
+    _check_sum_cutoff(x)
     if x < 5:
         return 0.0
     return _ordered_sum(_expansion(x, d)[2])
@@ -119,7 +124,7 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    _check_cutoff(x)
+    _check_sum_cutoff(x)
     threshold = math.ceil(math.log(math.log(x))) if x > math.e else 1
     cut = x ** (0.5 - epsilon)
     lhs = small = low = high = 0.0
@@ -149,7 +154,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     The estimate integrates the decreasing summand per residue class, from
     the class's first term; the error bound is rho(q) times the first summand.
     """
-    _check_cutoff(x)
+    _check_sum_cutoff(x)
     roots = roots_mod(q, d)
     top = _n_limit(x, d)
     if not roots or top < 2:

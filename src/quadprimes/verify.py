@@ -252,17 +252,17 @@ def _check_consecutive_powers(p: SuiteParams) -> CheckResult:
 
 def _check_hardy_littlewood(p: SuiteParams) -> CheckResult:
     est = primes.hardy_littlewood_constant(1, p.prime_bound)
-    diff = abs(est.averaged - primes.HL_CONSTANT_D1)
+    diff = abs(est.averaged - est.reference)
     return _result("hardy-littlewood-constant", "prime_counts",
                    {"d": 1, "prime_bound": p.prime_bound},
-                   est.averaged, primes.HL_CONSTANT_D1, 0.02, diff <= 0.02)
+                   est.averaged, est.reference, 0.02, diff <= 0.02)
 
 
 def _check_b_constant(p: SuiteParams) -> CheckResult:
     est = lcmpsi.B_constant(p.prime_bound)
-    diff = abs(est.averaged - primes.B_CONSTANT_REF)
+    diff = abs(est.averaged - est.reference)
     return _result("b-constant", "lcm_psi", {"prime_bound": p.prime_bound},
-                   est.averaged, primes.B_CONSTANT_REF, 0.01, diff <= 0.01)
+                   est.averaged, est.reference, 0.01, diff <= 0.01)
 
 
 def _check_kappa(p: SuiteParams) -> CheckResult:

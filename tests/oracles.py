@@ -47,7 +47,7 @@ class FactorSieve:
                 m //= p
                 e += 1
             parts.append((p, e))
-        return Factorization(n, tuple(parts))
+        return Factorization(tuple(parts))
 
     def omega(self, n: int) -> int:
         t = 0
@@ -72,7 +72,7 @@ def mobius(n: int) -> int:
 def omega(n: int) -> int:
     if n < 1:
         raise ValueError("omega requires n >= 1")
-    return factorize(n).omega
+    return len(factorize(n).parts)
 
 
 def divisors(n: int) -> list:

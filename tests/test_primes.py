@@ -98,24 +98,38 @@ def _hl_one_expression(d, bound):
     primes, the form before its temporaries were trimmed. chi comes from
     Euler's criterion for every d, d = 1 included, and not through
     quadratic_characters, so that the constant and its reference share no
-    route to the characters."""
+    route to the characters. It takes (raw, averaged) itself, the mean over
+    a mask of the primes above bound // 2, so that it shares no averaging
+    step with the package either."""
     ps = arith.primes_up_to(bound)
     ps = ps[ps >= 3]
     chi = congruence._pow_mod(-d, (ps - 1) // 2, ps)
     chi[chi == ps - 1] = -1
     running = np.cumprod(1.0 - chi / (ps.astype(np.float64) - 1.0))
-    tail = np.searchsorted(ps, bound // 2, side="right")
-    return primes._tail_averaged("hardy_littlewood", bound, running, tail, 1.0,
-                                 None)
+    if len(running) == 0:
+        return 1.0, 1.0
+    top = running[ps > bound // 2]
+    return float(running[-1]), float(top.mean())
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 100, 10**5, 10**6])
+@pytest.mark.parametrize("bound", list(range(65)) + [100, 10**5, 10**6])
 @pytest.mark.parametrize("d", [1, 7, 28, -3, 100])
 def test_hardy_littlewood_matches_one_expression(d, bound):
     est = primes.hardy_littlewood_constant(d, bound)
-    ref = _hl_one_expression(d, bound)
-    assert (est.raw.hex(), est.averaged.hex()) == (ref.raw.hex(),
-                                                   ref.averaged.hex())
+    raw, averaged = _hl_one_expression(d, bound)
+    assert (est.raw.hex(), est.averaged.hex()) == (raw.hex(), averaged.hex())
+
+
+def test_odd_prime_in_every_top_half():
+    """The estimator's precondition, Bertrand's postulate over the odd
+    primes: for every b >= 3 some odd prime lies in (b // 2, b], so the
+    mean over the top half of the running value is never empty."""
+    b = np.arange(3, 2 * 10**5 + 1)
+    ps = arith.primes_up_to(2 * 10**5)[1:]
+    # the number of odd primes <= b, less the number <= b // 2
+    above = (np.searchsorted(ps, b, side="right")
+             - np.searchsorted(ps, b // 2, side="right"))
+    assert above.min() >= 1
 
 
 def test_hardy_littlewood_peak_memory():

@@ -79,6 +79,13 @@ def test_non_finite_cutoff_raises(call, x):
         call(x)
 
 
+def test_progression_sum_cutoff_beyond_limit_raises():
+    """progression_sum lists the n of each class, so it takes the sums'
+    bound before any list is built: at x = 1e30 the list would not fit."""
+    with pytest.raises(ValueError, match=f"exceeds {sums.SUM_X_LIMIT}"):
+        sums.progression_sum(1e30, 5, 1)
+
+
 def test_progression_estimate_within_bound():
     rng = random.Random(99)
     checked = 0
