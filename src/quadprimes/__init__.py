@@ -5,7 +5,7 @@ from .arith import (Factorization, factorize, is_prime_power, is_prime_u64,
 from .congruence import ValueSieve, rho, roots_mod, sqrt_mod_prime
 from .lcmpsi import B_constant, PsiTrace, psi_f, psi_residual_trend
 from .nagell import consecutive_powers, lebesgue_nagell_solve
-from .primes import (ConstantEstimate, QuadraticPrimeList, fouvry_iwaniec_sum,
+from .primes import (ConstantEstimate, fouvry_iwaniec_sum,
                      hardy_littlewood_constant, largest_prime_factor_records,
                      pi_f, prime_power_scan, quadratic_primes,
                      twin_quadratic_pairs)

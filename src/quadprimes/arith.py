@@ -91,10 +91,14 @@ def is_prime_u64(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n, for k >= 2 and n >= 2 (is_prime_power's)."""
+    """Floor of the k-th root of n, for k >= 2, n >= 2 and a root below 2**64
+    (is_prime_power's): a float estimate, within about 2**-46 relatively, one
+    Newton step for a root of 2**32 or more, then the few steps of 1 left."""
     if k == 2:
         return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
+    r = int(math.exp(math.log(n) / k))
+    if r >> 32:
+        r = ((k - 1) * r + n // r ** (k - 1)) // k
     while r > 1 and r ** k > n:
         r -= 1
     while (r + 1) ** k <= n:
@@ -103,10 +107,12 @@ def _iroot(n: int, k: int) -> int:
 
 
 def is_prime_power(n: int):
-    """Return (p, nu) with n = p**nu, nu >= 1, or None. is_prime_power(1) is None."""
+    """Return (p, nu) with n = p**nu, nu >= 1, or None. is_prime_power(1) is
+    None. Miller-Rabin decides n below 2**64; ValueError names a larger n
+    with no prime factor up to 97 and no exact root below 2**64."""
     if n < 2:
         return None
-    if is_prime_u64(n):
+    if n < 1 << 64 and is_prime_u64(n):
         return (n, 1)
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -115,12 +121,18 @@ def is_prime_power(n: int):
                 m //= p
                 nu += 1
             return (p, nu) if m == 1 else None
-    # No factor below 100: a proper power must have exponent <= log_101(n).
-    for k in range(2, n.bit_length() // 6 + 2):
+    # No factor below 100: n = r**k needs k <= log_101(n), and Miller-Rabin
+    # needs r < 2**64, so k >= bits / 64. The exact root of the largest k is
+    # no perfect power, so n is a prime power exactly when that root is prime.
+    bits = n.bit_length()
+    for k in range(bits // 6 + 1, max(2, -(-bits // 64)) - 1, -1):
         r = _iroot(n, k)
-        if r ** k == n and is_prime_u64(r):
-            return (r, k)
-    return None
+        if r ** k == n:
+            return (r, k) if is_prime_u64(r) else None
+    if n < 1 << 64:
+        return None  # composite, by the test above
+    raise ValueError(f"cannot tell whether {n} is a prime power: it has no "
+                     f"prime factor up to 97 and no exact root below 2**64")
 
 
 def _pollard_rho(n: int) -> int:

@@ -7,6 +7,7 @@ Exit codes: 0 = success / all checks passed, 1 = verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import sys
@@ -23,10 +24,8 @@ def _table(header: list, rows: list, fmt: str) -> str:
 
 
 def _cmd_verify(args, out) -> int:
-    params = SuiteParams(x=args.x, d=args.d, epsilon=args.epsilon,
-                         prime_bound=args.prime_bound, fi_x=args.fi_x,
-                         psi_n=args.psi_n)
-    report = run_suite(params)
+    report = run_suite(SuiteParams(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(SuiteParams)}))
     if args.format == "csv":
         out.write(report.to_csv())
     else:
@@ -62,25 +61,21 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_primes(args, out) -> int:
-    qp = primes.quadratic_primes(args.n, args.d)
-    rows = list(zip(qp.members, qp.primes))
-    out.write(_table(["n", "prime"], rows, args.format))
+    out.write(_table(["n", "prime"], primes.quadratic_primes(args.n, args.d),
+                     args.format))
     return 0
 
 
 def _cmd_constants(args, out) -> int:
-    hl = primes.hardy_littlewood_constant(args.d, args.prime_bound)
-    b = lcmpsi.B_constant(args.prime_bound)
     kq = primes.kappa_quadrature()
     kg = primes.kappa_gamma()
-    rows = [
-        (hl.name, hl.truncation_bound, hl.raw, hl.averaged, hl.reference),
-        (b.name, b.truncation_bound, b.raw, b.averaged, b.reference),
-        ("kappa_quadrature", 0, kq, kq, None),
-        ("kappa_gamma", 0, kg, kg, None),
-    ]
-    out.write(_table(["name", "truncation_bound", "raw", "averaged", "reference"],
-                     rows, args.format))
+    estimates = (primes.hardy_littlewood_constant(args.d, args.prime_bound),
+                 lcmpsi.B_constant(args.prime_bound),
+                 primes.ConstantEstimate("kappa_quadrature", 0, kq, kq),
+                 primes.ConstantEstimate("kappa_gamma", 0, kg, kg))
+    header = [f.name for f in dataclasses.fields(primes.ConstantEstimate)]
+    out.write(_table(header, [dataclasses.astuple(e) for e in estimates],
+                     args.format))
     return 0
 
 
@@ -126,17 +121,17 @@ def exact_int(text: str) -> int:
     return int(value)
 
 
-# (flag, type, default, help) of each settable value.
+# (flag, type, default, help) of each settable value; verify's are SuiteParams'.
 _X_HELP = "cutoff for value sums / search boxes"
-_X = ("--x", float, 1e5, _X_HELP)
-_X_INT = ("--x", exact_int, 100_000, _X_HELP)
+_X = ("--x", float, SuiteParams.x, _X_HELP)
+_X_INT = ("--x", exact_int, int(SuiteParams.x), _X_HELP)
 _N = ("--n", exact_int, 100, "index bound (or modulus for `roots`)")
-_D = ("--d", exact_int, 1, "shift in n^2 + d")
-_EPSILON = ("--epsilon", float, 0.1, None)
+_D = ("--d", exact_int, SuiteParams.d, "shift in n^2 + d")
+_EPSILON = ("--epsilon", float, SuiteParams.epsilon, None)
 _ALPHA = ("--alpha", float, 0.5, None)
-_PRIME_BOUND = ("--prime-bound", exact_int, 10_000_000, None)
-_FI_X = ("--fi-x", float, 1e8, "cutoff for the n^2 + m^4 sum check")
-_PSI_N = ("--psi-n", exact_int, 20_000, "index bound for the psi slope check")
+_PRIME_BOUND = ("--prime-bound", exact_int, SuiteParams.prime_bound, None)
+_FI_X = ("--fi-x", float, SuiteParams.fi_x, "cutoff for the n^2 + m^4 sum check")
+_PSI_N = ("--psi-n", exact_int, SuiteParams.psi_n, "index bound for the psi slope check")
 
 # Each subcommand takes exactly the flags its handler reads, plus --format
 # and --out.

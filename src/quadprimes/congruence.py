@@ -314,8 +314,6 @@ def rho(q: int, d: int) -> int:
 
 def roots_mod_scan(q: int, d: int) -> tuple:
     """Brute-force oracle: test every residue in [0, q)."""
-    if q == 1:
-        return (0,)
     n = np.arange(q, dtype=np.int64)
     hits = np.nonzero((n * n + d) % q == 0)[0]
     return tuple(int(v) for v in hits)
@@ -444,7 +442,6 @@ class ValueSieve:
 
     - ``cofactor[i]`` is what remains of value i: 1 or a prime larger than
       every sieved prime;
-    - ``omega[i]`` counts the distinct primes of value i, cofactor included;
     - ``hit_index``, ``hit_prime`` and ``hit_exp`` are ``at``, ``prime`` and
       the exponent of each hit's prime in its value.
 
@@ -489,11 +486,6 @@ class ValueSieve:
     @property
     def hit_exp(self) -> np.ndarray:
         return self._division[1]
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        return (np.bincount(self.hit_index, minlength=len(self._values))
-                + (self.cofactor > 1)).astype(np.uint8)
 
     @classmethod
     def _blocks(cls, c: int, root: np.ndarray, step: np.ndarray, lo: int,
@@ -605,19 +597,21 @@ class ValueSieve:
 
     def squarefree_divisors(self):
         """(owner, q, mu(q), omega(q)) over every squarefree divisor q of every
-        value, with owner the value's position, ascending."""
+        value, with owner the value's position, ascending. omega of a value
+        counts its hits, ``sieved``, and its cofactor if that is above 1."""
         size = len(self.cofactor)
         order = np.argsort(self.hit_index, kind="stable")
         owner = self.hit_index[order]
         sieved = np.bincount(owner, minlength=size)
+        omega = (sieved + (self.cofactor > 1)).astype(np.uint8)
         column = np.arange(len(owner)) - np.repeat(np.cumsum(sieved) - sieved, sieved)
-        distinct = np.ones((size, int(self.omega.max(initial=0))), dtype=np.int64)
+        distinct = np.ones((size, int(omega.max(initial=0))), dtype=np.int64)
         distinct[owner, column] = self.hit_prime[order]
         big = np.flatnonzero(self.cofactor > 1)
         distinct[big, sieved[big]] = self.cofactor[big]
         owners, qs, bits = [], [], []
         for k in range(distinct.shape[1] + 1):
-            rows = np.flatnonzero(self.omega == k)
+            rows = np.flatnonzero(omega == k)
             q = np.ones((len(rows), 1), dtype=np.int64)
             b = np.zeros(1, dtype=np.int64)
             for j in range(k):

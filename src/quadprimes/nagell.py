@@ -83,19 +83,15 @@ def lebesgue_nagell_naive(d: int, x_max: int) -> list:
     return sorted(found, key=lambda s: s[::-1])
 
 
-def consecutive_powers(limit: int):
-    """All perfect powers m**k <= limit (k >= 2, deduplicated, ascending) and
-    the adjacent pairs differing by exactly 1."""
-    if limit < 1:
-        return [], []
+def consecutive_powers(limit: int) -> list:
+    """The pairs (a, a + 1) of perfect powers m**k <= limit, k >= 2 (1 among
+    them), ascending: only (8, 9) once limit >= 9, by Mihailescu's theorem
+    (Catalan's conjecture, J. reine angew. Math. 572 (2004))."""
     powers = {1}
-    m = 2
-    while m * m <= limit:
+    for m in range(2, math.isqrt(max(limit, 0)) + 1):
         v = m * m
         while v <= limit:
             powers.add(v)
             v *= m
-        m += 1
     ordered = sorted(powers)
-    pairs = [(a, b) for a, b in zip(ordered, ordered[1:]) if b - a == 1]
-    return ordered, pairs
+    return [(a, b) for a, b in zip(ordered, ordered[1:]) if b - a == 1]

@@ -16,19 +16,10 @@ from .congruence import ValueSieve, _n_limit, prime_ns, quadratic_characters
 _U64_MAX = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class QuadraticPrimeList:
-    """All n <= n_max with n**2 + d prime, with the primes."""
-
-    members: tuple
-    primes: tuple
-
-
-def quadratic_primes(n_max: int, d: int) -> QuadraticPrimeList:
-    """The n <= n_max with n**2 + d prime. ValueError or OverflowError as
-    prime_ns raises them."""
-    members = prime_ns(n_max, d).tolist()
-    return QuadraticPrimeList(tuple(members), tuple(n * n + d for n in members))
+def quadratic_primes(n_max: int, d: int) -> list:
+    """The pairs (n, n**2 + d) with n**2 + d prime, 1 <= n <= n_max, by
+    ascending n. ValueError or OverflowError as prime_ns raises them."""
+    return [(n, n * n + d) for n in prime_ns(n_max, d).tolist()]
 
 
 def pi_f(x: float, d: int) -> int:
@@ -183,20 +174,15 @@ class LpfRecords:
     max_prime: int
 
 
-def _largest_factors(n_max: int, d: int) -> list:
-    """Largest prime factor of n**2 + d at index n, for n = 1..n_max."""
-    return [1] + ValueSieve.shift(1, n_max, d).largest_prime().tolist()
-
-
 def largest_prime_factor_records(n_max: int, d: int) -> LpfRecords:
     """Records of log P(n**2 + d) / log n over 2 <= n <= n_max, where P is the
     largest prime factor."""
-    lpf = _largest_factors(n_max, d)
+    lpf = ValueSieve.shift(1, n_max, d).largest_prime().tolist()  # n = 1, 2, ...
     records = []
     best = 0.0
-    for n in range(2, n_max + 1):
-        e = math.log(lpf[n]) / math.log(n)
+    for n, p in enumerate(lpf[1:], 2):
+        e = math.log(p) / math.log(n)
         if e > best:
             best = e
-            records.append((n, lpf[n], e))
-    return LpfRecords(d, n_max, tuple(records), max(lpf[1:], default=1))
+            records.append((n, p, e))
+    return LpfRecords(d, n_max, tuple(records), max(lpf, default=1))

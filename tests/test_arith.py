@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 
@@ -171,6 +172,35 @@ def test_von_mangoldt_rejects_beyond_64_bits_without_small_factor():
     for fn in (arith.von_mangoldt, oracles.von_mangoldt_loop):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             fn(2**64 + 1)
+
+
+def test_von_mangoldt_of_prime_powers_beyond_64_bits():
+    """n of 2**64 or more without a small prime factor: its exact root below
+    2**64 decides it."""
+    assert arith.von_mangoldt((2**61 - 1) ** 2) == math.log(2**61 - 1)
+    assert arith.von_mangoldt(101**10) == math.log(101)
+    assert arith.is_prime_power(101**10) == (101, 10)
+
+
+@pytest.mark.parametrize("n", [2**64 + 13, (2**64 + 13) ** 2])
+def test_prime_power_beyond_miller_rabin_raises_naming_n(n):
+    """2**64 + 13 is the least prime above 2**64: neither it nor its square
+    has a root that Miller-Rabin can test, so no answer is given."""
+    for fn in (arith.is_prime_power, arith.von_mangoldt):
+        with pytest.raises(ValueError, match=str(n)):
+            fn(n)
+
+
+def test_iroot_is_the_floor_of_the_root():
+    """Roots up to 2**64, where the float estimate alone can be thousands
+    off, at exact powers and their neighbours."""
+    rng = random.Random(3)
+    for _ in range(2000):
+        k = rng.randrange(3, 70)
+        r = rng.randrange(2, 1 << 64)
+        for n in (r**k - 1, r**k, r**k + 1, (r + 1) ** k - 1):
+            got = arith._iroot(n, k)
+            assert got**k <= n < (got + 1) ** k, (n, k)
 
 
 def test_is_prime_power():

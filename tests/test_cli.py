@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from quadprimes import cli
 from quadprimes.cli import build_parser, exact_int, main
+from quadprimes.report import VerificationReport
+from quadprimes.verify import SuiteParams
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +131,24 @@ def test_verify_writes_report(tmp_path, capsys):
     # one status line per check on stderr
     assert len([l for l in err.strip().split("\n") if l]) \
         == len(report["checks"])
+
+
+def test_each_verify_flag_reaches_its_field(monkeypatch, capsys):
+    """verify builds SuiteParams from the fields' names: each flag, given a
+    value other than its default, lands in the field of its name, and
+    without flags every field keeps its default."""
+    seen = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda params: seen.append(params) or VerificationReport())
+    want = SuiteParams(x=2e5, d=7, epsilon=0.2, prime_bound=10**6, fi_x=1e7,
+                       psi_n=1000)
+    assert all(getattr(want, f.name) != getattr(SuiteParams(), f.name)
+               for f in dataclasses.fields(SuiteParams))
+    assert run_cli(capsys, "verify", "--x", "2e5", "--d", "7",
+                   "--epsilon", "0.2", "--prime-bound", "1e6",
+                   "--fi-x", "1e7", "--psi-n", "1000")[0] == 0
+    assert run_cli(capsys, "verify")[0] == 0
+    assert seen == [want, SuiteParams()]
 
 
 def test_missing_subcommand_exits_2():

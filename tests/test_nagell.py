@@ -94,13 +94,10 @@ def test_solutions_sorted_and_in_box():
 
 
 def test_consecutive_powers():
-    ordered, pairs = nagell.consecutive_powers(10**6)
+    pairs = nagell.consecutive_powers(10**6)
     assert pairs == [(8, 9)]
-    assert ordered[:6] == [1, 4, 8, 9, 16, 25]
-    assert 1 in ordered and 10**6 in ordered
 
 
 def test_consecutive_powers_trivial():
-    ordered, pairs = nagell.consecutive_powers(3)
-    assert ordered == [1]
+    pairs = nagell.consecutive_powers(3)
     assert pairs == []

@@ -12,13 +12,13 @@ KNOWN_PRIMES_10K = (2, 5, 17, 37, 101, 197, 257, 401, 577, 677, 1297, 1601,
 
 
 def test_quadratic_primes_list():
-    qp = primes.quadratic_primes(99, 1)
-    assert qp.primes == KNOWN_PRIMES_10K
-    assert qp.members[:4] == (1, 2, 4, 6)
+    ns, ps = zip(*primes.quadratic_primes(99, 1))
+    assert ps == KNOWN_PRIMES_10K
+    assert ns[:4] == (1, 2, 4, 6)
 
 
 def test_quadratic_primes_small():
-    assert primes.quadratic_primes(1, 1).primes == (2,)
+    assert [p for _, p in primes.quadratic_primes(1, 1)] == [2]
 
 
 def test_quadratic_primes_overflow():
@@ -30,11 +30,11 @@ def test_quadratic_primes_of_values_below_2_allocate_nothing():
     # n**2 - 10**14 <= 0 for every n <= 10**7: nothing is sieved
     tracemalloc.start()
     try:
-        qp = primes.quadratic_primes(10**7, -10**14)
+        pairs = primes.quadratic_primes(10**7, -10**14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert qp.members == qp.primes == ()
+    assert pairs == []
     assert peak < 1 << 20
 
 
@@ -66,8 +66,8 @@ def test_pi_f_matches_enumeration():
     for _ in range(20):
         x = rng.randrange(2, 10**8)
         top = math.isqrt(x - 1)
-        qp = primes.quadratic_primes(top, 1)
-        assert primes.pi_f(x, 1) == sum(1 for p in qp.primes if p <= x)
+        pairs = primes.quadratic_primes(top, 1)
+        assert primes.pi_f(x, 1) == sum(1 for _, p in pairs if p <= x)
 
 
 def test_twin_pairs():

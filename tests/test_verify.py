@@ -84,6 +84,19 @@ def test_identity_check_fails_when_the_sieve_drops_a_prime(monkeypatch):
     assert r.status == FAIL and r.computed > 1.0
 
 
+@pytest.mark.parametrize("check", [verify._check_central_identity,
+                                   verify._check_dyadic_partition])
+def test_sum_checks_fail_when_the_sides_disagree(check, monkeypatch):
+    """Both checks compare lhs_sum with the Mobius expansion: a left side
+    1e-8 off, relatively, fails them, ten times over their 1e-9 gate."""
+    assert check(SuiteParams()).status == PASS
+    lhs_sum = sums.lhs_sum
+    monkeypatch.setattr(sums, "lhs_sum",
+                        lambda *args: lhs_sum(*args) * (1 + 1e-8))
+    r = check(SuiteParams())
+    assert r.status == FAIL and r.computed > 1e-9
+
+
 def test_psi_vs_lcm_matches_per_n_loop():
     # the check grows both sides along one pass; each n recomputed from 1
     worst = 0.0
