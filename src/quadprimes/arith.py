@@ -275,21 +275,3 @@ def von_mangoldt(n: int) -> float:
         raise ValueError("von_mangoldt requires n >= 1")
     pp = is_prime_power(n)
     return math.log(pp[0]) if pp else 0.0
-
-
-def von_mangoldt_via_mobius(n: int) -> float:
-    """-sum over divisors q of n of mu(q) log q (inclusion-exclusion route),
-    over the squarefree divisors, the only ones that contribute."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    return -_ordered_sum(mu * math.log(q)
-                         for q, mu in squarefree_divisors(n))
-
-
-def squarefree_divisors(n: int) -> list:
-    """(q, mu(q)) for every squarefree divisor q of n, that is every product
-    of a subset of its distinct primes."""
-    out = [(1, 1)]
-    for p, _ in factorize(n).parts:
-        out += [(q * p, -s) for q, s in out]
-    return out

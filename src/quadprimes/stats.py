@@ -5,7 +5,6 @@ factors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,20 +61,10 @@ def landau_ratio(x: int, k: int) -> float:
     return count * math.factorial(k - 1) * math.log(x) / (x * llx ** (k - 1))
 
 
-@dataclass(frozen=True)
-class HighOmegaMass:
-    """Moduli q <= x with omega(q) > log log x, with their total root
-    count against the bound x**(1 - (log log x)(log log log x) / (2 log x))."""
-
-    rho_sum: int
-    bound: float
-
-    @property
-    def within_bound(self) -> bool:
-        return self.rho_sum <= self.bound
-
-
-def high_omega_mass(x: int, d: int) -> HighOmegaMass:
+def high_omega_mass(x: int, d: int) -> tuple:
+    """(rho_sum, bound): the total root count of the moduli q <= x with
+    omega(q) > log log x, and the bound
+    x**(1 - (log log x)(log log log x) / (2 log x)) it is checked against."""
     if x < 16:
         raise ValueError("high_omega_mass requires x >= 16")
     om = omega_sieve(x)[1:].astype(np.int64)
@@ -85,4 +74,4 @@ def high_omega_mass(x: int, d: int) -> HighOmegaMass:
     lllx = math.log(llx)
     mask = om > llx
     bound = x ** (1.0 - llx * lllx / (2.0 * lx))
-    return HighOmegaMass(int(rhos[mask].sum()), bound)
+    return int(rhos[mask].sum()), bound

@@ -138,17 +138,10 @@ def dyadic_split(x: float, d: int, epsilon: float = 0.1) -> SumDecomposition:
     return SumDecomposition(x, d, epsilon, lhs, small, low, high, threshold)
 
 
-@dataclass(frozen=True)
-class ProgressionSumResult:
-    """Term-by-term progression sum against its closed-form estimate."""
-
-    direct: float
-    estimate: float
-    error_bound: float
-
-
-def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
-    """Sum of 1/(n sqrt(log n)) over n >= 2 with n**2 + d <= x and q | n**2 + d.
+def progression_sum(x: float, q: int, d: int) -> tuple:
+    """(direct, estimate, error_bound) for the sum of 1/(n sqrt(log n)) over
+    n >= 2 with n**2 + d <= x and q | n**2 + d: all three are 0.0 where no n
+    qualifies.
 
     Qualifying n are enumerated by stepping each root of the congruence by q.
     The estimate integrates the decreasing summand per residue class, from
@@ -158,7 +151,7 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
     roots = roots_mod(q, d)
     top = _n_limit(x, d)
     if not roots or top < 2:
-        return ProgressionSumResult(0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0
     s = math.sqrt(max(x - d, 4.0))
     ns = []
     pieces = []  # the estimate of each residue class, in root order
@@ -170,13 +163,13 @@ def progression_sum(x: float, q: int, d: int) -> ProgressionSumResult:
         if first <= top:
             pieces.append((2.0 / q) * (math.sqrt(math.log(last)) - math.sqrt(math.log(first))))
     if not ns:
-        return ProgressionSumResult(0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0
     ns.sort()
     direct = _ordered_sum(1.0 / (n * math.sqrt(math.log(n))) for n in ns)
     estimate = _ordered_sum(pieces)
     n0 = ns[0]
     bound = len(roots) / (n0 * math.sqrt(math.log(n0)))
-    return ProgressionSumResult(direct, estimate, bound)
+    return direct, estimate, bound
 
 
 def dirichlet_partial(s: float, n_terms: int, d: int) -> float:

@@ -50,12 +50,13 @@ def _von_mangoldt_sides(top: int):
     """Yield (via_mobius, direct) for blocks of n = 1, 2, ..., top in order.
 
     via_mobius is -sum over the squarefree q | n of mu(q) log q, from the
-    divisor arrays of ValueSieve.integers, added per n in the order of
-    arith.von_mangoldt_via_mobius; direct is log p where n is a power of p
-    in a table that writes p at p, p**2, p**3, ... <= top for every prime
-    p, else 0. The table reads only the primes, none of ValueSieve's hits,
-    so a fault in the hits cannot move both sides alike. Both read one
-    math.log table, so each side equals its scalar counterpart exactly.
+    divisor arrays of ValueSieve.integers, added per n in the order of the
+    scalar oracle von_mangoldt_via_mobius in tests/oracles.py; direct is
+    log p where n is a power of p in a table that writes p at p, p**2,
+    p**3, ... <= top for every prime p, else 0. The table reads only the
+    primes, none of ValueSieve's hits, so a fault in the hits cannot move
+    both sides alike. Both read one math.log table, so each side equals its
+    scalar counterpart exactly.
     """
     logs = np.array([0.0, *map(math.log, range(1, top + 1))])
     base = np.zeros(top + 1, dtype=np.int32)  # 0 where n is no prime power
@@ -165,8 +166,8 @@ def _check_progression_bound(p: SuiteParams) -> CheckResult:
     bad = 0
     for _ in range(100):
         q = rng.randrange(2, 1001)
-        r = sums.progression_sum(x, q, p.d)
-        if abs(r.direct - r.estimate) > r.error_bound:
+        direct, estimate, error_bound = sums.progression_sum(x, q, p.d)
+        if abs(direct - estimate) > error_bound:
             bad += 1
     return _result("progression-estimate-bound", "weighted_sums",
                    {"x": x, "d": p.d, "samples": 100}, bad, 0, 0.0, bad == 0)
@@ -326,9 +327,9 @@ def _check_landau_ratio(p: SuiteParams) -> CheckResult:
 
 def _check_high_omega_mass(p: SuiteParams) -> CheckResult:
     x = max(16, min(int(p.x), 10**6))
-    hm = stats.high_omega_mass(x, p.d)
+    rho_sum, bound = stats.high_omega_mass(x, p.d)
     return _result("high-omega-mass", "composite_stats", {"x": x, "d": p.d},
-                   hm.rho_sum, hm.bound, 0.0, hm.within_bound)
+                   rho_sum, bound, 0.0, rho_sum <= bound)
 
 
 _CHECKS = (

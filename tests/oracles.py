@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from quadprimes.arith import (_SMALL_PRIMES, Factorization, factorize,
-                              is_prime_power, is_prime_u64, primes_up_to)
+from quadprimes.arith import (_SMALL_PRIMES, Factorization, _ordered_sum,
+                              factorize, is_prime_power, is_prime_u64,
+                              primes_up_to)
 from quadprimes.congruence import _n_limit, legendre, roots_mod
 
 
@@ -101,6 +102,24 @@ def von_mangoldt_loop(n: int) -> float:
         return math.log(n)
     pp = is_prime_power(n)
     return math.log(pp[0]) if pp else 0.0
+
+
+def von_mangoldt_via_mobius(n: int) -> float:
+    """-sum over divisors q of n of mu(q) log q (inclusion-exclusion route),
+    over the squarefree divisors, the only ones that contribute."""
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    return -_ordered_sum(mu * math.log(q)
+                         for q, mu in squarefree_divisors(n))
+
+
+def squarefree_divisors(n: int) -> list:
+    """(q, mu(q)) for every squarefree divisor q of n, that is every product
+    of a subset of its distinct primes."""
+    out = [(1, 1)]
+    for p, _ in factorize(n).parts:
+        out += [(q * p, -s) for q, s in out]
+    return out
 
 
 def quadratic_character(d: int, p: int) -> int:

@@ -64,28 +64,27 @@ def test_landau_ratio_k2_midscale():
 def test_high_omega_example():
     # log log 100 = 1.527...; omega(q) >= 2 qualifies, 64 moduli up to 100.
     from quadprimes import congruence
-    m = stats.high_omega_mass(100, 1)
+    rho_sum, bound = stats.high_omega_mass(100, 1)
     llx = math.log(math.log(100))
     high = [q for q in range(1, 101) if SIEVE.omega(q) > llx]
     assert len(high) == 64
-    assert m.rho_sum == 22 == sum(congruence.rho(q, 1) for q in high)
-    assert m.bound == pytest.approx(72.374, abs=5e-4)
-    assert m.within_bound
+    assert rho_sum == 22 == sum(congruence.rho(q, 1) for q in high)
+    assert bound == pytest.approx(72.374, abs=5e-4)
+    assert rho_sum <= bound
 
 
 def test_high_omega_sums_match_direct():
     from quadprimes import congruence
-    m = stats.high_omega_mass(5000, 1)
+    rho_sum, _ = stats.high_omega_mass(5000, 1)
     llx = math.log(math.log(5000))
     direct = sum(congruence.rho(q, 1)
                  for q in range(1, 5001) if SIEVE.omega(q) > llx)
-    assert m.rho_sum == direct
+    assert rho_sum == direct
 
 
 def test_high_omega_bound_midscale():
-    m = stats.high_omega_mass(10**6, 1)
-    assert m.within_bound
-    assert m.rho_sum <= m.bound
+    rho_sum, bound = stats.high_omega_mass(10**6, 1)
+    assert rho_sum <= bound
 
 
 def test_high_omega_rejects_small_x():

@@ -188,7 +188,7 @@ def test_squarefree_divisors_match_arith():
         got = sorted(zip(q[owner == i].tolist(), mu[owner == i].tolist(),
                          om[owner == i].tolist()))
         want = sorted((s, m, oracles.omega(s)) for s, m
-                      in arith.squarefree_divisors(n * n + d))
+                      in oracles.squarefree_divisors(n * n + d))
         assert got == want, n
 
 
@@ -198,7 +198,7 @@ def support_loop(x, d):
     support = {}
     for n in range(2, sums._n_limit(x, d) + 1):
         w = 1.0 / (n * math.sqrt(math.log(n)))
-        for q, mu in arith.squarefree_divisors(n * n + d):
+        for q, mu in oracles.squarefree_divisors(n * n + d):
             entry = support.get(q)
             if entry is None:
                 support[q] = [mu, w]

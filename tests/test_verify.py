@@ -9,7 +9,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from quadprimes import arith, congruence, lcmpsi, sums, verify
+import oracles
+from quadprimes import arith, congruence, lcmpsi, primes, sums, verify
 from quadprimes.report import FAIL, PASS, CheckResult, VerificationReport
 from quadprimes.verify import SuiteParams
 
@@ -56,7 +57,7 @@ def test_von_mangoldt_sides_match_scalar_loops():
     via = np.concatenate([b[0] for b in blocks]).tolist()
     direct = np.concatenate([b[1] for b in blocks]).tolist()
     ns = range(1, top + 1)
-    assert via == [arith.von_mangoldt_via_mobius(n) for n in ns]
+    assert via == [oracles.von_mangoldt_via_mobius(n) for n in ns]
     assert direct == [arith.von_mangoldt(n) for n in ns]
 
 
@@ -135,6 +136,27 @@ def test_expansion_identities_hold_for_every_shift(check, d):
     rho-multiplicative, which pass at every shift but cost about 7 s and
     3-4 s over all 100."""
     assert check(SuiteParams(d=d)).status == PASS
+
+
+@pytest.mark.parametrize("d", range(1, 101))
+def test_expansion_sides_find_the_same_prime_powers(d):
+    """The exact form of the central identity at x = 10**8. Value by value,
+    -sum over the squarefree q | m of mu(q) log q is log p where m has one
+    distinct prime p, and 0 otherwise. So the pairs (n, p) whose value
+    n**2 + d has exactly the squarefree divisors 1 and p (the right side's
+    divisor arrays) are the n of prime_ns with p = n**2 + d together with
+    the pairs of prime_power_scan (the left side's routes), for n >= 2."""
+    top = math.isqrt(10**8 - d)
+    owner, q, _, _ = congruence.ValueSieve.shift(2, top, d).squarefree_divisors()
+    two = np.flatnonzero(np.bincount(owner) == 2)
+    picked = np.isin(owner, two) & (q != 1)
+    sieve_side = set(zip((owner[picked] + 2).tolist(), q[picked].tolist()))
+    ns = congruence.prime_ns(top, d)
+    ns = ns[ns >= 2].tolist()
+    route_side = {(n, n * n + d) for n in ns}
+    route_side |= {(n, p) for n, p, _ in primes.prime_power_scan(top, d)
+                   if n >= 2}
+    assert sieve_side == route_side
 
 
 _SMALL = SuiteParams(x=1e4, prime_bound=100_000, fi_x=1e6)
