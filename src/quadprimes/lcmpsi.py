@@ -46,6 +46,11 @@ PSI_N_LIMIT = 2 * 10**6
 _PSI_BLOCK = 1 << 12
 
 
+def _check_psi_n(n_max: int) -> None:
+    if n_max > PSI_N_LIMIT:
+        raise ValueError(f"psi index bound {n_max} exceeds {PSI_N_LIMIT}")
+
+
 def _valuation_rises(n_max: int):
     """Yield, for each block of consecutive m in 1..n_max in order, the
     arrays (m, p, rise): each prime p whose maximal valuation over
@@ -64,8 +69,7 @@ def _valuation_rises(n_max: int):
     so q**2 > m**2 + 1: it is a hit of exponent 1. Every p**k divides a
     value at most n_max**2 + 1 < 2**63, so the powers fit an int64.
     """
-    if n_max > PSI_N_LIMIT:
-        raise ValueError(f"psi index bound {n_max} exceeds {PSI_N_LIMIT}")
+    _check_psi_n(n_max)
     lo = 1
     for sv in ValueSieve.shift_blocks(1, n_max, 1, _PSI_BLOCK):
         big = np.flatnonzero(sv.cofactor > 1)
@@ -149,6 +153,7 @@ def psi_residual_trend(n_max: int) -> PsiTrace:
     (an independent estimate of the linear coefficient)."""
     if n_max < 100:
         raise ValueError("psi_residual_trend requires n_max >= 100")
+    _check_psi_n(n_max)  # before psi_all: the rises check only once iterated
     pts = sorted({int(round(100 * (n_max / 100) ** (i / (_TREND_POINTS - 1))))
                   for i in range(_TREND_POINTS)})
     psi_all = np.zeros(n_max + 1)

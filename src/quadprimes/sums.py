@@ -47,6 +47,10 @@ def _lambda_terms(n_lo: int, n_max: int, d: int) -> list:
 def lhs_sum(x: float, d: int, alpha: float = 0.5, sieve=None) -> float:
     """Sum of Lambda(n**2 + d) / (n (log n)**(1 - alpha)) over 2 <= n, n**2 + d <= x.
 
+    ValueError names alpha unless alpha > 0, every weight
+    n (log n)**(1 - alpha) of a term is finite and nonzero, and the sum is
+    finite.
+
     ``sieve`` is not read. It stays only because perfbench/workloads.py
     passes None there, and that file changes only with the benchmark.
     """
@@ -55,8 +59,22 @@ def lhs_sum(x: float, d: int, alpha: float = 0.5, sieve=None) -> float:
     _check_cutoff(x)
     if x < 5:
         return 0.0
-    return _ordered_sum(lam / (n * math.log(n) ** (1.0 - alpha))
-                        for n, lam in _lambda_terms(2, _n_limit(x, d), d))
+
+    def term(n, lam):
+        try:
+            w = n * math.log(n) ** (1.0 - alpha)
+        except OverflowError:  # math's ** raises where IEEE gives inf
+            w = math.inf
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"alpha = {alpha!r} is too large: the weight "
+                             f"n (log n)**(1 - alpha) at n = {n} is {w!r}")
+        return lam / w
+
+    total = _ordered_sum(term(n, lam)
+                         for n, lam in _lambda_terms(2, _n_limit(x, d), d))
+    if total == math.inf:
+        raise ValueError(f"alpha = {alpha!r} is too large: the sum overflows")
+    return total
 
 
 def _expansion(x: float, d: int):

@@ -4,24 +4,21 @@ Each check compares a computed quantity against a reference (an exact value,
 a published constant, or a frozen regression bracket) at a pinned tolerance.
 Each check is a pure function of the suite parameters alone and builds the
 tables it reads, so the checks can run at once and in any process: run_suite
-forks one worker per usable CPU and gives each a fixed round-robin share of
-the checks, and puts the results back in definition order. The report is
-deterministic. Above 2 CPUs the fixed shares are less even than handing out
-checks as workers free up; run_suite's docstring gives the cost.
+maps them over pool.ordered_map's forked workers, which puts the results back
+in definition order. The report is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import pickle
 import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, congruence, lcmpsi, nagell, primes, stats, sums
+from . import arith, congruence, lcmpsi, nagell, pool, primes, stats, sums
 from .report import FAIL, PASS, CheckResult, VerificationReport
 
 
@@ -385,113 +382,19 @@ def _validate(p: SuiteParams) -> None:
                              f"got {name} = {getattr(p, name)!r}")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _work(params: SuiteParams, share, conn, parent_ends) -> None:
-    """Worker side of run_suite: run the checks of this worker's fixed share
-    in definition order, timing each, and send each result over conn as soon
-    as it is known, or the exception the check raised (pickled) with its
-    traceback as text.
-
-    parent_ends are the parent's read ends of this worker's pipe and of those
-    started before it, which a forked worker holds copies of. They are closed
-    first, so that once the parent is gone nothing reads the pipe and the
-    next send fails instead of filling it.
-    """
-    for end in parent_ends:
-        end.close()
-    for fn in share:
-        try:
-            t0 = time.perf_counter()
-            result = fn(params)
-            result.ms = (time.perf_counter() - t0) * 1000.0
-            conn.send((result, None))
-        except Exception as exc:
-            import traceback
-            conn.send((pickle.dumps(exc), traceback.format_exc()))
-    conn.close()
-
-
-def _answer(conn, fn, proc) -> CheckResult:
-    """The result the worker proc sent over conn for check fn; raise instead
-    if the check raised or the worker died first."""
-    try:
-        payload, tb = conn.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(
-            f"check {fn.__name__}: its worker exited with code "
-            f"{proc.exitcode} before sending a result") from None
-    if tb is None:
-        return payload
-    try:
-        exc = pickle.loads(payload)
-    except Exception as err:
-        raise RuntimeError(
-            f"check {fn.__name__} raised an exception that cannot be rebuilt "
-            f"here; in the check's process:\n{tb}") from err
-    raise exc from Exception(f"in the check's process:\n{tb}")
+def _timed(params: SuiteParams, check) -> CheckResult:
+    """check(params), with ms set to the check's own wall time."""
+    t0 = time.perf_counter()
+    result = check(params)
+    result.ms = (time.perf_counter() - t0) * 1000.0
+    return result
 
 
 def run_suite(params: SuiteParams) -> VerificationReport:
-    """Run every check in a pool of worker processes and return the results
-    in definition order; the report content is a function of ``params`` alone
-    (timings aside).
-
-    k = min(usable CPUs, checks) workers are forked (the platform's default
-    start method where fork does not exist) before the first check runs.
-    Worker j runs checks j, j + k, j + 2k, ... in that order, so which checks
-    share a worker depends on k alone, never on timing. Each worker times
-    each call, so ``ms`` is the check's own wall time.
-
-    The fixed shares are as even as handing each check to the first free
-    worker at 1 and 2 CPUs, and less even above. Simulated from the default
-    checks' serial times, the checks take (ms):
-
-        CPUs   first free worker   fixed shares
-        3      240                 261
-        4      202                 232
-        8      109                 182
-
-    Every field is checked before the first check runs: one out of range
-    (NaN included) raises ValueError. A check that raises re-raises the same
-    exception here, or RuntimeError with the check's traceback where the
-    exception cannot be rebuilt; a worker that exits without a result raises
-    RuntimeError. Every worker has exited when this returns or raises.
-    """
+    """Run every check through pool.ordered_map and return the results in
+    definition order; the report content is a function of ``params`` alone
+    (timings aside). A field out of range (NaN included) raises ValueError
+    before the first check runs."""
     _validate(params)
-    # imported here, so that the other subcommands never pay for it
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    n = len(_CHECKS)
-    k = min(_usable_cpus(), n)
-    results = [None] * n
-    workers = {}  # the parent's end of each worker's pipe -> the worker
-    try:
-        for j in range(k):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_work, args=(
-                params, _CHECKS[j::k], child_conn, [*workers, conn]))
-            proc.start()
-            workers[conn] = proc
-            child_conn.close()  # the worker's death now reads as EOF
-        # a worker's results wait in its pipe until their turn here
-        for j, (conn, proc) in enumerate(workers.items()):
-            for i in range(j, n, k):
-                results[i] = _answer(conn, _CHECKS[i], proc)
-    except BaseException:
-        for proc in workers.values():
-            proc.terminate()
-        raise
-    finally:
-        for conn, proc in workers.items():
-            proc.join()
-            conn.close()
-    return VerificationReport(checks=results)
+    return VerificationReport(checks=pool.ordered_map(
+        functools.partial(_timed, params), _CHECKS))

@@ -87,12 +87,24 @@ def test_sum_beyond_63_bits_is_usage_error(capsys):
     (["--x", "inf"], "x = inf"),
     (["--x=-inf"], "x = -inf"),
     (["--x", "1e5", "--alpha", "nan"], "alpha = nan"),
+    (["--x", "1e5", "--alpha", "inf"], "alpha = inf"),
 ])
 def test_sum_non_finite_input_is_usage_error(capsys, argv, names):
     code, out, err = run_cli(capsys, "sum", *argv)
     assert code == 2
     assert out == ""
     assert names in err
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_sum_alpha_too_large_is_usage_error(capsys, d):
+    """(log n)**(1 - alpha) overflows at n = 2 (d = 1) or is 0 at n = 3
+    (d = 2): each exits 2 naming alpha, not with a traceback or errno."""
+    code, out, err = run_cli(capsys, "sum", "--x", "1e5", "--d", d,
+                             "--alpha", "10000")
+    assert code == 2
+    assert out == ""
+    assert "alpha = 10000.0 is too large" in err
 
 
 def test_constants_json(capsys):
@@ -116,6 +128,14 @@ def test_psi_table(capsys):
     assert code == 0
     assert out.startswith("n,psi,residual\n")
     assert "fitted_slope" in err
+
+
+@pytest.mark.parametrize("n", ["3000000", "1e12"])
+def test_psi_beyond_limit_is_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "psi", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "exceeds 2000000" in err
 
 
 def test_verify_writes_report(tmp_path, capsys):

@@ -197,6 +197,19 @@ def test_residual_trend_rejects_small():
         lcmpsi.psi_residual_trend(50)
 
 
+@pytest.mark.parametrize("n", [lcmpsi.PSI_N_LIMIT + 1, 10**12])
+def test_residual_trend_rejects_oversize_before_allocating(n):
+    """The bound is checked before the n + 1 floats of the trace exist."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"exceeds {lcmpsi.PSI_N_LIMIT}"):
+            lcmpsi.psi_residual_trend(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_trace_psi_agrees_with_psi_f():
     tr = lcmpsi.psi_residual_trend(400)
     for n, v in zip(tr.ns, tr.psi):

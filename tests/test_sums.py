@@ -23,6 +23,13 @@ def test_lhs_rejects_bad_alpha():
         sums.lhs_sum(100, 1, alpha=0.0)
     with pytest.raises(ValueError):
         sums.lhs_sum(100, 1, alpha=-1.0)
+    # (log n)**(1 - alpha) overflows at n = 2 or underflows to 0 at n >= 3
+    for d, alpha in ((1, math.inf), (2, 10_000.0), (1, 10_000.0)):
+        with pytest.raises(ValueError, match=f"alpha = {alpha!r} is too large"):
+            sums.lhs_sum(1e5, d, alpha)
+    # every weight is finite and nonzero, but the sum overflows
+    with pytest.raises(ValueError, match="alpha = 853.0 is too large"):
+        sums.lhs_sum(110, 1, 853.0)
 
 
 def test_rhs_examples():
@@ -153,7 +160,8 @@ def dirichlet_by_von_mangoldt(s, n_terms, d):
 
 @pytest.mark.parametrize("x, d, alpha", [
     (10**4, 1, 0.5), (10**6, 3, 0.25), (10**7, 28, 0.5), (10**6, 0, 0.5),
-    (10**5, -3, 0.75), (10**8, 100, 0.5), (10**6, 64, 0.25), (10**5, -1, 1.0)])
+    (10**5, -3, 0.75), (10**8, 100, 0.5), (10**6, 64, 0.25), (10**5, -1, 1.0),
+    (110, 1, 852.0)])
 def test_lhs_sum_equals_von_mangoldt_loop(x, d, alpha):
     assert sums.lhs_sum(x, d, alpha) == lhs_by_von_mangoldt(x, d, alpha)
 

@@ -1,16 +1,12 @@
 import math
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
 import oracles
-from quadprimes import arith, congruence, lcmpsi, primes, sums, verify
+from quadprimes import arith, congruence, lcmpsi, pool, primes, sums, verify
 from quadprimes.report import FAIL, PASS, CheckResult, VerificationReport
 from quadprimes.verify import SuiteParams
 
@@ -175,7 +171,7 @@ def test_forked_suite_matches_serial_loop(monkeypatch):
     # one usable CPU: one worker runs every check in turn
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert verify._usable_cpus() == 1
+    assert pool._usable_cpus() == 1
     report = verify.run_suite(_SMALL)
     assert report.to_json() == expected
     assert all(c.ms > 0 for c in report.checks)
@@ -186,127 +182,3 @@ def test_forked_suite_matches_serial_loop(monkeypatch):
     assert report.to_json() == expected
     assert all(c.ms > 0 for c in report.checks)
     assert multiprocessing.active_children() == []
-
-
-def _raises(params):
-    raise ValueError("stub check rejected its input")
-
-
-def test_check_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(verify, "_CHECKS", (_passing, _raises, _passing))
-    with pytest.raises(ValueError, match="stub check rejected its input"):
-        verify.run_suite(SuiteParams())
-    # the other worker was stopped too
-    assert multiprocessing.active_children() == []
-
-
-def _pid(params):
-    return CheckResult("pid", "test", {}, os.getpid(), 0, 0.0, PASS)
-
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-def test_workers_run_several_checks_each(cpus, monkeypatch):
-    monkeypatch.setattr(verify, "_CHECKS", (_pid,) * 6)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                        raising=False)
-    pids = {c.computed for c in verify.run_suite(SuiteParams()).checks}
-    assert os.getpid() not in pids and 1 <= len(pids) <= len(cpus)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_each_worker_runs_a_fixed_round_robin_share(k, monkeypatch):
-    """Checks i and j run in one worker exactly when i = j (mod k), whatever
-    the checks' times."""
-    monkeypatch.setattr(verify, "_CHECKS", (_pid,) * 7)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
-                        raising=False)
-    pids = [c.computed for c in verify.run_suite(SuiteParams()).checks]
-    for i in range(7):
-        for j in range(7):
-            assert (pids[i] == pids[j]) == (i % k == j % k), (i, j, pids)
-
-
-class _Bad(Exception):
-    """An exception that pickles but cannot be rebuilt from its args."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} and {b}")
-
-
-def _raises_bad(params):
-    raise _Bad(1, 2)
-
-
-def test_exception_that_cannot_be_rebuilt_names_the_check(monkeypatch):
-    monkeypatch.setattr(verify, "_CHECKS", (_passing, _raises_bad))
-    with pytest.raises(RuntimeError, match="_raises_bad") as info:
-        verify.run_suite(SuiteParams())
-    assert "_Bad: 1 and 2" in str(info.value)
-    assert "raise _Bad(1, 2)" in str(info.value)  # the worker's traceback
-
-
-def test_dying_check_raises_instead_of_hanging():
-    """A worker dies, after another check or on the first one with others
-    still in its share: the suite raises, and no worker is left."""
-    script = textwrap.dedent("""
-        import multiprocessing
-        import os
-        from quadprimes import verify
-        from quadprimes.report import PASS, CheckResult
-
-        def _passing(params):
-            return CheckResult("stub", "test", {}, 0, 0, 0.0, PASS)
-
-        def _dies(params):
-            os._exit(3)
-
-        for checks in ((_passing, _dies), (_dies,) + (_passing,) * 4):
-            verify._CHECKS = checks
-            try:
-                verify.run_suite(verify.SuiteParams())
-            except RuntimeError as exc:
-                print(exc)
-            print("left:", multiprocessing.active_children())
-    """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 4, proc.stdout
-    for died, left in (lines[:2], lines[2:]):
-        assert "_dies" in died and "code 3" in died
-        assert left == "left: []"
-
-
-def test_workers_exit_when_the_parent_is_killed():
-    """A check kills the suite's process: every worker's next send then
-    fails on a broken pipe and it exits, instead of filling the pipe. The
-    workers hold the script's stdout, so communicate returns only once they
-    have all exited."""
-    script = textwrap.dedent("""
-        import os
-        import signal
-        from quadprimes import verify
-        from quadprimes.report import PASS, CheckResult
-
-        def _passing(params):
-            return CheckResult("stub", "test", {}, 0, 0, 0.0, PASS)
-
-        def _kills_parent(params):
-            os.kill(os.getppid(), signal.SIGKILL)
-            return _passing(params)
-
-        verify._usable_cpus = lambda: 2
-        verify._CHECKS = (_passing, _kills_parent, _passing, _passing)
-        verify.run_suite(verify.SuiteParams())
-    """)
-    proc = subprocess.Popen([sys.executable, "-c", script],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
-    try:
-        proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # the workers left behind
-        proc.communicate()
-        raise AssertionError("a worker outlived the killed suite") from None
-    assert proc.returncode == -signal.SIGKILL
