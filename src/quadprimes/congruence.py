@@ -331,6 +331,8 @@ def rho_table(limit: int, d: int) -> np.ndarray:
     mod 2), so only those up to sqrt(limit), whose square fits, write any
     factor.
     """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     out = np.ones(limit + 1, dtype=np.int64)
     out[0] = 0
     ps = primes_up_to(limit)

@@ -157,17 +157,14 @@ def psi_residual_trend(n_max: int) -> PsiTrace:
     pts = sorted({int(round(100 * (n_max / 100) ** (i / (_TREND_POINTS - 1))))
                   for i in range(_TREND_POINTS)})
     psi_all = np.zeros(n_max + 1)
-    top, carry = 0, 0.0  # psi_all[: top + 1] is filled; carry is psi_f(top)
+    carry = 0.0  # psi_f at the end of the blocks so far
     for m, p, rise in _valuation_rises(n_max):
-        if not len(m):  # a block can bring no rise: m = 3 brings none
-            continue
         logs = np.array([math.log(q) for q in p.tolist()])
         after = _running_sums(rise * logs, carry)
-        # each n reads the last rise at or before it
-        ns = np.arange(top + 1, m[-1] + 1)
-        psi_all[top + 1 : m[-1] + 1] = after[np.searchsorted(m, ns, side="right")]
-        top, carry = int(m[-1]), after[-1]
-    psi_all[top + 1 :] = carry
+        np.maximum.at(psi_all, m, after[1:])  # psi_f(m) at each rise
+        carry = after[-1]
+    # psi_f only grows at the rises, so each n takes the largest value so far
+    np.maximum.accumulate(psi_all, out=psi_all)
     ns = np.array(pts, dtype=np.float64)
     psi = psi_all[pts]
     residuals = psi - ns * np.log(ns) - B_CONSTANT_REF * ns

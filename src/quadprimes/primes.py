@@ -118,6 +118,8 @@ def fouvry_iwaniec_sum(x: float) -> FouvryIwaniecResult:
     """Sum of Lambda(n**2 + m**4) over n, m >= 1 with n**2 + m**4 <= x,
     against the predicted (4 kappa / pi) x**(3/4)."""
     _check_cutoff(x)
+    if x < 0:  # x**0.75 would be complex
+        raise ValueError(f"cutoff x = {x!r} is negative")
     total = 0.0
     for sv in ValueSieve.quartic_rows(int(x)):
         base = sv.prime_power_base()

@@ -17,6 +17,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """python -m quadprimes in a child process. The rejections are tested
+    there, not in-process, so that one that regresses into the work it
+    guards fails after 60 s instead of stalling the suite."""
+    return subprocess.run([sys.executable, "-m", "quadprimes", *argv],
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_roots_csv(capsys):
     code, out, _ = run_cli(capsys, "roots", "--n", "65")
     assert code == 0
@@ -172,14 +180,11 @@ def test_each_verify_flag_reaches_its_field(monkeypatch, capsys):
 
 
 def test_missing_subcommand_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert run_child().returncode == 2
 
 
 def test_console_script_entrypoint():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
-                           "--n", "5"], capture_output=True, text=True)
+    proc = run_child("roots", "--n", "5")
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1:] == ["5,1,2", "5,1,3"]
 
@@ -271,98 +276,52 @@ def test_integer_flag_rejects_inexact_value(command, flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-def test_verify_with_huge_shift_prints_no_traceback():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "verify",
-                           "--d", "1000000000000", "--x", "1e3",
-                           "--prime-bound", "1e4", "--fi-x", "1e4",
-                           "--psi-n", "100"], capture_output=True, text=True)
-    assert proc.returncode in (0, 1), proc.stderr
-    assert "Traceback" not in proc.stderr
+# A product of two primes near 10**15 and 3 * 10**15: its cofactor after the
+# primes up to 97 reaches 2**64, which factorize cannot split.
+UNSPLIT = "3000000000000148000000000001369"
 
 
-def test_stats_beyond_omega_sieve_limit_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "stats",
-                           "--x", "1e15"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-def test_rejected_integer_prints_no_traceback():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
-                           "--n", "1e100000000"], capture_output=True,
-                          text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "argument --n" in proc.stderr
-
-
-def test_verify_below_x_2_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "verify",
-                           "--x", "1"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-def test_psi_beyond_psi_n_limit_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "psi",
-                           "--n", "2000001"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-@pytest.mark.parametrize("command", ["verify", "sum"])
-def test_x_beyond_sum_limit_exits_2(command):
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", command,
-                           "--x", "1e13"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-def test_psi_below_100_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "psi",
-                           "--n", "50"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-@pytest.mark.parametrize("command", ["verify", "constants"])
-def test_prime_bound_beyond_sieve_limit_exits_2(command):
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", command,
-                           "--prime-bound", "1e11"], capture_output=True,
-                          text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-@pytest.mark.parametrize("argv", [["primes", "--n", "1e9"],
-                                  ["nagell", "--x", "1e11"]])
-def test_beyond_search_bound_exits_2(argv):
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
-
-
-@pytest.mark.parametrize("argv", [
-    ["roots", "--n", "1e30", "--d", "0"],
-    ["roots", "--n", "68314842068663755945783321926605"],
-    ["roots", "--n", str(2**40), "--d", str(7 * 2**36)],
-])
-def test_roots_beyond_roots_limit_exit_2(argv):
-    """The error names the --n modulus, not a prime power of it."""
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv],
-                          capture_output=True, text=True, timeout=60)
+# (id, argv, a text that stderr holds). The ROOTS_LIMIT errors name the --n
+# modulus, not a prime power of it.
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv.split(), message, id=name) for name, argv, message in [
+        ("stats_beyond_omega_sieve_limit", "stats --x 1e15", "error:"),
+        ("rejected_integer", "roots --n 1e100000000", "argument --n"),
+        ("verify_below_x_2", "verify --x 1", "error:"),
+        ("verify_x_beyond_sum_limit", "verify --x 1e13", "error:"),
+        ("sum_x_beyond_sum_limit", "sum --x 1e13", "error:"),
+        ("psi_beyond_psi_n_limit", "psi --n 2000001", "error:"),
+        ("psi_below_100", "psi --n 50", "error:"),
+        ("verify_prime_bound_beyond_sieve_limit", "verify --prime-bound 1e11",
+         "error:"),
+        ("constants_prime_bound_beyond_sieve_limit",
+         "constants --prime-bound 1e11", "error:"),
+        ("primes_beyond_search_bound", "primes --n 1e9", "error:"),
+        ("nagell_beyond_search_bound", "nagell --x 1e11", "error:"),
+        ("roots_beyond_roots_limit_1e30", "roots --n 1e30 --d 0",
+         f"more than 65536 roots mod {10**30}\n"),
+        ("roots_beyond_roots_limit_18_primes",
+         "roots --n 68314842068663755945783321926605",
+         "more than 65536 roots mod 68314842068663755945783321926605\n"),
+        ("roots_beyond_roots_limit_2_power",
+         f"roots --n {2**40} --d {7 * 2**36}",
+         f"more than 65536 roots mod {2**40}\n"),
+        ("roots_beyond_factorize", f"roots --n {UNSPLIT}",
+         f"error: cannot factor {UNSPLIT}:"),
+    ]])
+def test_rejected_input_exits_2(argv, message):
+    proc = run_child(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert f"more than 65536 roots mod {exact_int(argv[2])}\n" in proc.stderr
+    assert message in proc.stderr
+
+
+def test_verify_with_huge_shift_prints_no_traceback():
+    proc = run_child("verify", "--d", "1000000000000", "--x", "1e3",
+                     "--prime-bound", "1e4", "--fi-x", "1e4", "--psi-n", "100")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_roots_of_modulus_without_roots_print_the_header(capsys):
@@ -371,27 +330,12 @@ def test_roots_of_modulus_without_roots_print_the_header(capsys):
                    "--d", "94143178827") == (0, "modulus,shift,root\n", "")
 
 
-def test_roots_of_modulus_beyond_factorize_exits_2():
-    """A product of two primes near 10**15 and 3 * 10**15: its cofactor after
-    the primes up to 97 reaches 2**64, which factorize cannot split."""
-    n = "3000000000000148000000000001369"
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", "roots",
-                           "--n", n], capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert f"error: cannot factor {n}:" in proc.stderr
-
-
 @pytest.mark.parametrize("argv", [["verify"], ["roots", "--n", "65"]])
 def test_out_path_that_cannot_be_opened_exits_2(tmp_path, argv):
     """The path is opened before the computation: verify fails at once, not
     after its whole suite, and without a traceback."""
     dest = tmp_path / "no-such-dir" / "out.csv"
-    proc = subprocess.run([sys.executable, "-m", "quadprimes", *argv,
-                           "--out", str(dest)], capture_output=True,
-                          text=True, timeout=60)
+    proc = run_child(*argv, "--out", str(dest))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: cannot write --out {dest}: " \

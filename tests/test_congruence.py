@@ -210,6 +210,11 @@ def test_rho_table_matches_rho_property(d, limit):
         assert rhos[q] == congruence.rho(q, d), q
 
 
+def test_rho_table_rejects_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        congruence.rho_table(-1, 1)
+
+
 @pytest.mark.parametrize("d", [-3, 2**62 - 1])
 def test_rho_table_matches_rho_at_verify_extreme_shifts(d):
     # verify takes -3 <= d < 2**62; both ends reach the int64 _pow_mod

@@ -176,7 +176,15 @@ def test_fouvry_iwaniec_small():
     fi = primes.fouvry_iwaniec_sum(17)
     expected = math.log(2) + math.log(5) + 2 * math.log(17)
     assert fi.lambda_sum == pytest.approx(expected, rel=1e-12)
-    assert primes.fouvry_iwaniec_sum(1).lambda_sum == 0.0
+    for x in (0, 0.0, 1, 1.5):
+        assert primes.fouvry_iwaniec_sum(x).lambda_sum == 0.0
+
+
+@pytest.mark.parametrize("x", [-16.0, -1e-300])
+def test_fouvry_iwaniec_rejects_negative_cutoff(x):
+    # x**0.75 of a negative float is complex
+    with pytest.raises(ValueError, match=f"x = {x!r} is negative"):
+        primes.fouvry_iwaniec_sum(x)
 
 
 def test_fouvry_iwaniec_ratio_midscale():
